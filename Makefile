@@ -8,6 +8,7 @@
 #   make check-rebalance # elastic scale-in/out: ring property, epoch, soaks, goldens, -race
 #   make bench         # regression benchmark suite -> BENCH_9.json
 #   make bench-paper   # full reproduction driver (tables/figures + ablations)
+#   make loc           # production/test Go line counts
 
 GO ?= go
 
@@ -19,7 +20,7 @@ BENCHTIME ?= 300ms
 
 .PHONY: check vet build test race bench bench-paper bench-telemetry \
 	check-reliability check-verify check-load check-cluster check-segment \
-	check-rebalance fuzz-seeds
+	check-rebalance fuzz-seeds loc
 
 check: vet build race check-verify check-load check-cluster check-segment check-rebalance
 
@@ -42,7 +43,7 @@ race:
 # num_cpu=1, so the JSON is self-describing on any runner).
 # BenchmarkIngestBatchTraced rides the same regex and tracks the tracing
 # on/off delta on the ingest hot path (budget: <5% median overhead);
-# BenchmarkIngestBatchWire compares the NPB1 binary batch encoding
+# BenchmarkIngestBatchWire compares the NPB2 binary batch encoding
 # against JSON (targets: >= 5x rows/s/core, >= 10x fewer allocs/batch);
 # the cluster trio prices the front tier; the segment/figures quartet
 # prices the storage engine — flush throughput
@@ -102,7 +103,10 @@ check-verify: fuzz-seeds
 	$(GO) test -run='^$$' -fuzz='FuzzDecode' -fuzztime=$(FUZZTIME) ./internal/packet/
 	$(GO) test -run='^$$' -fuzz='FuzzJournalReplay' -fuzztime=$(FUZZTIME) ./internal/spool/
 	$(GO) test -run='^$$' -fuzz='FuzzRequestDecode' -fuzztime=$(FUZZTIME) ./internal/collector/
+	$(GO) test -run='^$$' -fuzz='FuzzBatchTranscode' -fuzztime=$(FUZZTIME) ./internal/collector/
 	$(GO) test -run='^$$' -fuzz='FuzzWireDecode' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='FuzzWireRoundTrip' -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='FuzzSchemaDecode' -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -run='^$$' -fuzz='FuzzSegmentDecode' -fuzztime=$(FUZZTIME) ./internal/segment/
 
 # The scale gate, under the race detector:
@@ -178,4 +182,18 @@ check-segment:
 
 # Replay the checked-in fuzz corpora as plain unit tests (fast, -race).
 fuzz-seeds:
-	$(GO) test -race -run 'Fuzz' ./internal/dns/ ./internal/pcap/ ./internal/packet/ ./internal/spool/ ./internal/collector/ ./internal/wire/ ./internal/cluster/ ./internal/segment/
+	$(GO) test -race -run 'Fuzz' ./internal/dns/ ./internal/pcap/ ./internal/packet/ ./internal/spool/ ./internal/collector/ ./internal/codec/ ./internal/wire/ ./internal/cluster/ ./internal/segment/
+
+# Go line counts, production and test, both raw and non-blank
+# non-comment ("code"), excluding perfbench/ and .bench_build/. A change
+# reports its net production-line delta from this.
+LOC_FIND = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+LOC_AWK = '{ s = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", s); raw++; \
+	if (blk) { if (s ~ /\*\//) blk = 0; next } \
+	if (s == "" || s ~ /^\/\//) next; \
+	if (s ~ /^\/\*/) { if (s !~ /\*\//) blk = 1; next } \
+	code++ } END { printf "%7d raw %7d code\n", raw, code }'
+
+loc:
+	@printf 'production '; $(LOC_FIND) -not -name '*_test.go' -exec cat {} + | awk $(LOC_AWK)
+	@printf 'test       '; $(LOC_FIND) -name '*_test.go' -exec cat {} + | awk $(LOC_AWK)

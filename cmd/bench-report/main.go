@@ -205,7 +205,7 @@ func derive(rep *report) {
 		recordDerived("binary_ingest_alloc_ratio", jsonAllocs/binAllocs, false)
 	}
 	// Cluster front tier (PR 8): what the routing hop and write
-	// replication cost per batch relative to POSTing the same NPB1
+	// replication cost per batch relative to POSTing the same NPB2
 	// bytes straight at one node, plus the failover handoff ceiling.
 	direct := nsop("BenchmarkFrontRouteBatch/path=direct")
 	for _, r := range []int{1, 2} {

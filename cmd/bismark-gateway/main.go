@@ -49,7 +49,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "household seed")
 	debugAddr := flag.String("debug-addr", "", "optional listen address for /metrics and pprof (e.g. 127.0.0.1:9090)")
 	spoolDir := flag.String("spool-dir", "", "optional directory for the upload spool journal (uploads survive a gateway restart, like the firmware's flash buffers)")
-	wireFmt := flag.String("wire", "auto", "batch encoding: auto (negotiate NPB1 via Accept-Post), binary, or json")
+	wireFmt := flag.String("wire", "auto", "batch encoding: auto (negotiate NPB2 via Accept-Post), binary, or json")
 	flag.Parse()
 
 	log := telemetry.SetupLogger("bismark-gateway")

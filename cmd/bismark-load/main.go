@@ -40,7 +40,7 @@ func main() {
 	direct := flag.Float64("direct", 0.1, "fraction of uploads POSTed individually with Idempotency-Key")
 	workers := flag.Int("workers", 8, "HTTP delivery concurrency")
 	seed := flag.Uint64("seed", 1, "deterministic row-generation seed")
-	wireFmt := flag.String("wire", "binary", "batch encoding: binary (NPB1) or json")
+	wireFmt := flag.String("wire", "binary", "batch encoding: binary (NPB2) or json")
 	gzipOn := flag.Bool("gzip", false, "gzip-compress batch request bodies")
 	jsonOut := flag.String("json", "", "also write the report as JSON to this file (- for stdout)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and pprof on this address during the run")

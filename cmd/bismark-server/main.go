@@ -64,7 +64,7 @@ func main() {
 	failSeed := flag.Uint64("fail-seed", 1, "fault injection RNG seed")
 	traceSample := flag.Float64("trace-sample", 0.05, "tail-sampling keep probability for healthy traces (error, throttled, and slow traces are always kept)")
 	traceSlow := flag.Duration("trace-slow", 500*time.Millisecond, "traces at least this slow are always kept")
-	noBinary := flag.Bool("no-binary", false, "stop advertising the NPB1 binary batch encoding (clients fall back to JSON; binary uploads are still accepted)")
+	noBinary := flag.Bool("no-binary", false, "stop advertising the NPB2 binary batch encoding (clients fall back to JSON; binary uploads are still accepted)")
 	clusterMode := flag.Bool("cluster", false, "run as a cluster node: serve the control plane on -ctrl, gossip with -peers, journal replicated writes, and replay them on peer failure")
 	nodeID := flag.String("node-id", "node-0", "cluster mode: this node's stable hash-ring identity")
 	ctrlAddr := flag.String("ctrl", "127.0.0.1:9090", "cluster mode: control-plane HTTP address (gossip, replicate, manifest)")

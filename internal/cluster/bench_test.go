@@ -8,7 +8,7 @@ import (
 	"natpeek/internal/wire"
 )
 
-// benchItems builds an NPB1-typed batch: `items` uptime rows spread
+// benchItems builds an NPB2-typed batch: `items` uptime rows spread
 // across `routers` routers, with empty idempotency keys so the same
 // batch re-applies every iteration (dedupe applies only to keyed
 // uploads) and the first-write gate never fires.
@@ -97,9 +97,9 @@ func BenchmarkRingLookup(b *testing.B) {
 
 // BenchmarkFrontRouteBatch prices the front tier against a bare
 // collector node on the same 64-row batch over real loopback HTTP.
-// path=direct POSTs NPB1 straight at a standalone node's data plane —
+// path=direct POSTs NPB2 straight at a standalone node's data plane —
 // the single-node baseline. path=front-r1 adds the front hop: decode,
-// per-router placement, per-group NPB1 re-encode, and forwards to a
+// per-router placement, per-group NPB2 re-encode, and forwards to a
 // 3-node cluster. path=front-r2 adds write replication: every group
 // also lands a journal frame on its successor before the ack.
 // BENCH_*.json derives cluster_front_route_overhead_r{1,2} from the
@@ -144,7 +144,7 @@ func BenchmarkFrontRouteBatch(b *testing.B) {
 }
 
 // BenchmarkHandoffReplay measures failover handoff throughput: a
-// journaled NPB1 frame replayed into the successor's own data plane —
+// journaled NPB2 frame replayed into the successor's own data plane —
 // the work a node does per frame while inheriting a dead owner's rows.
 // The frame is unkeyed so every iteration pays the full apply cost
 // rather than the dedupe short-circuit a second replay of the same

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,7 +124,7 @@ func uptimeItem(router string, seq int) wire.Item {
 	}
 }
 
-// postBatch delivers one NPB1 batch, failing the test on any error.
+// postBatch delivers one NPB2 batch, failing the test on any error.
 func postBatch(t *testing.T, baseURL string, items []wire.Item) collector.BatchResult {
 	t.Helper()
 	res, status, err := tryPostBatch(baseURL, items)
@@ -238,6 +239,12 @@ func TestClusterJSONBatchEquivalent(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || res.Applied != 2 || len(res.Failed) != 0 {
 		t.Fatalf("JSON batch via front: status %d result %+v", resp.StatusCode, res)
 	}
+	// The front advertises the versioned media type exactly as a node
+	// does, so clients built for the earlier binary format stay on JSON.
+	if ap := resp.Header.Get("Accept-Post"); !strings.Contains(ap, wire.ContentTypeBinary) ||
+		strings.Contains(ap, "application/x-natpeek-batch") {
+		t.Fatalf("front Accept-Post = %q: want %q and no earlier-format media type", ap, wire.ContentTypeBinary)
+	}
 	country := ""
 	for _, nd := range tc.nodes {
 		if cc, ok := nd.Store().RouterCountry["rt-json-1"]; ok {
@@ -280,7 +287,7 @@ func TestClusterDirectEndpointProxy(t *testing.T) {
 
 // TestClusterFailoverReplaysJournal is the handoff contract in
 // miniature: kill a node and every row it owned must reappear on its
-// successor — exactly once — via the journaled NPB1 frames.
+// successor — exactly once — via the journaled NPB2 frames.
 func TestClusterFailoverReplaysJournal(t *testing.T) {
 	tc := startTestCluster(t, 2, 2)
 	var items []wire.Item

@@ -1,19 +1,22 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"natpeek/internal/codec"
 )
 
 // The control plane speaks a small binary protocol ("NPC1") over plain
 // HTTP POSTs between peers: membership gossip, the key manifests a
 // rejoining node pulls to rebuild its dedupe index, and the replicate
-// frames the front fans out to a write's successor nodes. Like NPB1 it
-// is length-prefixed varint framing with a bounds-checked decoder —
-// counts and lengths are validated against the remaining input before a
-// single byte of them is allocated, and trailing bytes after a complete
-// message are an error, never silently ignored. The codec is fuzzed
-// (FuzzControlDecode) with checked-in seed corpora.
+// frames the front fans out to a write's successor nodes. A message is
+// the magic, one kind byte, then the kind's fields in the primitives of
+// package codec (str, uvarint, count-prefixed lists, 0/1 flag bytes),
+// read with its bounds-checked Reader — counts and lengths are
+// validated against the remaining input before a single byte of them
+// is allocated, and trailing bytes after a complete message are an
+// error, never silently ignored. The codec is fuzzed (FuzzControlDecode)
+// with checked-in seed corpora.
 
 // ctrlMagic starts every NPC1 buffer ("natpeek control, version 1").
 const ctrlMagic = "NPC1"
@@ -142,7 +145,7 @@ type ManifestResponse struct {
 }
 
 // Replicate carries one acknowledged write to a successor node: the
-// placement that chose it plus the raw NPB1 batch bytes, journaled
+// placement that chose it plus the raw NPB2 batch bytes, journaled
 // verbatim. The successor never decodes rows — if the owner dies, the
 // first live successor replays the bytes as a plain /v1/batch POST and
 // the idempotency keys inside make the replay converge.
@@ -203,410 +206,146 @@ type Message struct {
 // AppendMessage encodes a message onto dst and returns the extended
 // buffer.
 func AppendMessage(dst []byte, m *Message) []byte {
-	e := ctrlEncoder{buf: append(dst, ctrlMagic...)}
-	e.buf = append(e.buf, byte(m.Kind))
+	w := &codec.Writer{Buf: append(dst, ctrlMagic...)}
+	w.Byte(byte(m.Kind))
 	switch m.Kind {
 	case MsgGossip:
-		e.str(m.Gossip.From)
-		e.members(m.Gossip.Members)
-		e.epoch(m.Gossip.Cur)
-		e.epoch(m.Gossip.Next)
+		w.Str(m.Gossip.From)
+		codec.AppendList(w, m.Gossip.Members, putMember)
+		putEpoch(w, m.Gossip.Cur)
+		putEpoch(w, m.Gossip.Next)
 	case MsgManifestRequest:
-		e.str(m.ManifestReq.Joiner)
-		e.members(m.ManifestReq.Members)
-		e.uvarint(uint64(len(m.ManifestReq.Routers)))
-		for _, rt := range m.ManifestReq.Routers {
-			e.str(rt)
-		}
+		w.Str(m.ManifestReq.Joiner)
+		codec.AppendList(w, m.ManifestReq.Members, putMember)
+		codec.AppendList(w, m.ManifestReq.Routers, (*codec.Writer).Str)
 	case MsgManifestResponse:
-		e.str(m.ManifestResp.From)
-		e.uvarint(uint64(len(m.ManifestResp.Entries)))
-		for _, en := range m.ManifestResp.Entries {
-			e.str(en.Router)
-			e.uvarint(uint64(len(en.Keys)))
-			for _, k := range en.Keys {
-				e.str(k)
-			}
-		}
+		w.Str(m.ManifestResp.From)
+		codec.AppendList(w, m.ManifestResp.Entries, putEntry)
 	case MsgReplicate:
-		e.str(m.Replicate.Owner)
-		e.uvarint(uint64(len(m.Replicate.Successors)))
-		for _, s := range m.Replicate.Successors {
-			e.str(s)
-		}
-		e.uvarint(uint64(len(m.Replicate.Batch)))
-		e.buf = append(e.buf, m.Replicate.Batch...)
+		w.Str(m.Replicate.Owner)
+		codec.AppendList(w, m.Replicate.Successors, (*codec.Writer).Str)
+		w.Blob(m.Replicate.Batch)
 	case MsgTransferRequest:
-		e.str(m.TransferReq.From)
-		e.epoch(m.TransferReq.Epoch)
+		w.Str(m.TransferReq.From)
+		putEpoch(w, m.TransferReq.Epoch)
 	case MsgTransferResponse:
-		e.str(m.TransferResp.From)
-		e.uvarint(m.TransferResp.Rows)
+		w.Str(m.TransferResp.From)
+		w.Uvarint(m.TransferResp.Rows)
 	case MsgTransferKeys:
-		e.str(m.TransferKeys.From)
-		e.uvarint(uint64(len(m.TransferKeys.Entries)))
-		for _, en := range m.TransferKeys.Entries {
-			e.str(en.Router)
-			e.uvarint(uint64(len(en.Keys)))
-			for _, k := range en.Keys {
-				e.str(k)
-			}
-		}
+		w.Str(m.TransferKeys.From)
+		codec.AppendList(w, m.TransferKeys.Entries, putEntry)
 	case MsgDrain:
-		e.str(m.Drain.Node)
+		w.Str(m.Drain.Node)
 	}
-	return e.buf
-}
-
-type ctrlEncoder struct{ buf []byte }
-
-func (e *ctrlEncoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-func (e *ctrlEncoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *ctrlEncoder) members(ms []Member) {
-	e.uvarint(uint64(len(ms)))
-	for _, m := range ms {
-		e.str(m.ID)
-		e.buf = append(e.buf, byte(m.Role))
-		e.str(m.CtrlAddr)
-		e.str(m.DataAddr)
-		e.uvarint(m.Incarnation)
-		e.uvarint(m.Beat)
-		e.uvarint(m.EpochVersion)
-		var flags byte
-		if m.Joining {
-			flags |= memberFlagJoining
-		}
-		e.buf = append(e.buf, flags)
-	}
+	return w.Buf
 }
 
 // memberFlagJoining marks a Member still mid-join (see Member.Joining).
 // Unknown flag bits are a decode error, keeping the encoding canonical.
 const memberFlagJoining = 1 << 0
 
-// epoch encodes an optional RingEpoch: a presence byte, then version,
-// committed flag, and the node list.
-func (e *ctrlEncoder) epoch(ep *RingEpoch) {
+func putMember(w *codec.Writer, m Member) {
+	w.Str(m.ID)
+	w.Byte(byte(m.Role))
+	w.Str(m.CtrlAddr)
+	w.Str(m.DataAddr)
+	w.Uvarint(m.Incarnation)
+	w.Uvarint(m.Beat)
+	w.Uvarint(m.EpochVersion)
+	var flags byte
+	if m.Joining {
+		flags |= memberFlagJoining
+	}
+	w.Byte(flags)
+}
+
+func readMember(r *codec.Reader) Member {
+	m := Member{ID: r.Str()}
+	if role := r.Byte(); role > byte(RoleFront) {
+		r.Fail("role %d", role)
+	} else {
+		m.Role = Role(role)
+	}
+	m.CtrlAddr = r.Str()
+	m.DataAddr = r.Str()
+	m.Incarnation = r.Uvarint()
+	m.Beat = r.Uvarint()
+	m.EpochVersion = r.Uvarint()
+	flags := r.Byte()
+	if flags&^memberFlagJoining != 0 {
+		r.Fail("member flags %#x", flags)
+	}
+	m.Joining = flags&memberFlagJoining != 0
+	return m
+}
+
+// putEpoch encodes an optional RingEpoch: a presence flag, then
+// version, committed flag, and the node list.
+func putEpoch(w *codec.Writer, ep *RingEpoch) {
+	w.Bool(ep != nil)
 	if ep == nil {
-		e.buf = append(e.buf, 0)
 		return
 	}
-	e.buf = append(e.buf, 1)
-	e.uvarint(ep.Version)
-	var c byte
-	if ep.Committed {
-		c = 1
+	w.Uvarint(ep.Version)
+	w.Bool(ep.Committed)
+	codec.AppendList(w, ep.Nodes, (*codec.Writer).Str)
+}
+
+// readEpoch decodes an optional RingEpoch. Flag bytes outside {0,1} are
+// rejected so every valid message has exactly one encoding.
+func readEpoch(r *codec.Reader) *RingEpoch {
+	if !r.Bool() {
+		return nil
 	}
-	e.buf = append(e.buf, c)
-	e.uvarint(uint64(len(ep.Nodes)))
-	for _, id := range ep.Nodes {
-		e.str(id)
-	}
+	return &RingEpoch{Version: r.Uvarint(), Committed: r.Bool(),
+		Nodes: codec.List(r, (*codec.Reader).Str)}
+}
+
+func putEntry(w *codec.Writer, en ManifestEntry) {
+	w.Str(en.Router)
+	codec.AppendList(w, en.Keys, (*codec.Writer).Str)
+}
+
+func readEntry(r *codec.Reader) ManifestEntry {
+	return ManifestEntry{Router: r.Str(), Keys: codec.List(r, (*codec.Reader).Str)}
 }
 
 // DecodeMessage decodes one NPC1 message. The whole buffer must be
 // exactly one message: trailing bytes are an error.
 func DecodeMessage(buf []byte) (*Message, error) {
-	d := ctrlDecoder{buf: buf}
 	if len(buf) < len(ctrlMagic)+1 || string(buf[:len(ctrlMagic)]) != ctrlMagic {
 		return nil, fmt.Errorf("cluster: control message lacks NPC1 magic")
 	}
-	d.pos = len(ctrlMagic)
-	m := &Message{Kind: MsgKind(buf[d.pos])}
-	d.pos++
-	var err error
+	m := &Message{Kind: MsgKind(buf[len(ctrlMagic)])}
+	r := codec.NewReader(buf[len(ctrlMagic)+1:])
 	switch m.Kind {
 	case MsgGossip:
-		g := &Gossip{}
-		if g.From, err = d.str(); err == nil {
-			g.Members, err = d.members()
-		}
-		if err == nil {
-			g.Cur, err = d.epoch()
-		}
-		if err == nil {
-			g.Next, err = d.epoch()
-		}
-		m.Gossip = g
+		m.Gossip = &Gossip{From: r.Str(), Members: codec.List(r, readMember),
+			Cur: readEpoch(r), Next: readEpoch(r)}
 	case MsgManifestRequest:
-		r := &ManifestRequest{}
-		if r.Joiner, err = d.str(); err != nil {
-			break
-		}
-		if r.Members, err = d.members(); err != nil {
-			break
-		}
-		var n int
-		if n, err = d.count(); err != nil {
-			break
-		}
-		for i := 0; i < n; i++ {
-			var rt string
-			if rt, err = d.str(); err != nil {
-				break
-			}
-			r.Routers = append(r.Routers, rt)
-		}
-		m.ManifestReq = r
+		m.ManifestReq = &ManifestRequest{Joiner: r.Str(), Members: codec.List(r, readMember),
+			Routers: codec.List(r, (*codec.Reader).Str)}
 	case MsgManifestResponse:
-		r := &ManifestResponse{}
-		if r.From, err = d.str(); err != nil {
-			break
-		}
-		var n int
-		if n, err = d.count(); err != nil {
-			break
-		}
-		for i := 0; i < n && err == nil; i++ {
-			var en ManifestEntry
-			if en.Router, err = d.str(); err != nil {
-				break
-			}
-			var nk int
-			if nk, err = d.count(); err != nil {
-				break
-			}
-			for j := 0; j < nk; j++ {
-				var k string
-				if k, err = d.str(); err != nil {
-					break
-				}
-				en.Keys = append(en.Keys, k)
-			}
-			r.Entries = append(r.Entries, en)
-		}
-		m.ManifestResp = r
+		m.ManifestResp = &ManifestResponse{From: r.Str(), Entries: codec.List(r, readEntry)}
 	case MsgReplicate:
-		r := &Replicate{}
-		if r.Owner, err = d.str(); err != nil {
-			break
-		}
-		var n int
-		if n, err = d.count(); err != nil {
-			break
-		}
-		for i := 0; i < n; i++ {
-			var s string
-			if s, err = d.str(); err != nil {
-				break
-			}
-			r.Successors = append(r.Successors, s)
-		}
-		if err == nil {
-			var b []byte
-			if b, err = d.strBytes(); err == nil {
-				// Copy out (callers journal batches past the request
-				// buffer's lifetime); always non-nil so an empty batch
-				// re-encodes identically.
-				r.Batch = append([]byte{}, b...)
-			}
-		}
-		m.Replicate = r
+		m.Replicate = &Replicate{Owner: r.Str(), Successors: codec.List(r, (*codec.Reader).Str),
+			// Copied out (callers journal batches past the request
+			// buffer's lifetime); always non-nil so an empty batch
+			// re-encodes identically.
+			Batch: append([]byte{}, r.Blob()...)}
 	case MsgTransferRequest:
-		r := &TransferRequest{}
-		if r.From, err = d.str(); err == nil {
-			r.Epoch, err = d.epoch()
-		}
-		m.TransferReq = r
+		m.TransferReq = &TransferRequest{From: r.Str(), Epoch: readEpoch(r)}
 	case MsgTransferResponse:
-		r := &TransferResponse{}
-		if r.From, err = d.str(); err == nil {
-			r.Rows, err = d.uvarint()
-		}
-		m.TransferResp = r
+		m.TransferResp = &TransferResponse{From: r.Str(), Rows: r.Uvarint()}
 	case MsgTransferKeys:
-		r := &TransferKeys{}
-		if r.From, err = d.str(); err != nil {
-			break
-		}
-		var n int
-		if n, err = d.count(); err != nil {
-			break
-		}
-		for i := 0; i < n && err == nil; i++ {
-			var en ManifestEntry
-			if en.Router, err = d.str(); err != nil {
-				break
-			}
-			var nk int
-			if nk, err = d.count(); err != nil {
-				break
-			}
-			for j := 0; j < nk; j++ {
-				var k string
-				if k, err = d.str(); err != nil {
-					break
-				}
-				en.Keys = append(en.Keys, k)
-			}
-			r.Entries = append(r.Entries, en)
-		}
-		m.TransferKeys = r
+		m.TransferKeys = &TransferKeys{From: r.Str(), Entries: codec.List(r, readEntry)}
 	case MsgDrain:
-		r := &Drain{}
-		r.Node, err = d.str()
-		m.Drain = r
+		m.Drain = &Drain{Node: r.Str()}
 	default:
 		return nil, fmt.Errorf("cluster: unknown control message kind %d", m.Kind)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if d.pos != len(d.buf) {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after control message", len(d.buf)-d.pos)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("cluster: control message: %w", err)
 	}
 	return m, nil
-}
-
-type ctrlDecoder struct {
-	buf []byte
-	pos int
-}
-
-func (d *ctrlDecoder) corrupt(what string) error {
-	return fmt.Errorf("cluster: corrupt control message: %s at offset %d", what, d.pos)
-}
-
-func (d *ctrlDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, d.corrupt("uvarint")
-	}
-	d.pos += n
-	return v, nil
-}
-
-// count reads a list length and bounds it by the remaining input —
-// every element costs at least one encoded byte, so a count exceeding
-// the bytes left is forged and rejected before any allocation sized
-// from it.
-func (d *ctrlDecoder) count() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(d.buf)-d.pos) {
-		return 0, d.corrupt("count exceeds input")
-	}
-	return int(v), nil
-}
-
-func (d *ctrlDecoder) strBytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.buf)-d.pos) {
-		return nil, d.corrupt("length exceeds input")
-	}
-	b := d.buf[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return b, nil
-}
-
-func (d *ctrlDecoder) str() (string, error) {
-	b, err := d.strBytes()
-	return string(b), err
-}
-
-func (d *ctrlDecoder) byte() (byte, error) {
-	if d.pos >= len(d.buf) {
-		return 0, d.corrupt("truncated")
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b, nil
-}
-
-func (d *ctrlDecoder) members() ([]Member, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	var out []Member
-	for i := 0; i < n; i++ {
-		var m Member
-		if m.ID, err = d.str(); err != nil {
-			return nil, err
-		}
-		role, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if role > byte(RoleFront) {
-			return nil, d.corrupt("unknown role")
-		}
-		m.Role = Role(role)
-		if m.CtrlAddr, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.DataAddr, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.Incarnation, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if m.Beat, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if m.EpochVersion, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		flags, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if flags&^memberFlagJoining != 0 {
-			return nil, d.corrupt("unknown member flags")
-		}
-		m.Joining = flags&memberFlagJoining != 0
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// epoch decodes an optional RingEpoch (presence byte, version,
-// committed flag, node list). Presence and committed bytes outside
-// {0,1} are rejected so every valid message has exactly one encoding.
-func (d *ctrlDecoder) epoch() (*RingEpoch, error) {
-	p, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch p {
-	case 0:
-		return nil, nil
-	case 1:
-	default:
-		return nil, d.corrupt("epoch presence byte")
-	}
-	e := &RingEpoch{}
-	if e.Version, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	c, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if c > 1 {
-		return nil, d.corrupt("epoch committed byte")
-	}
-	e.Committed = c == 1
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var id string
-		if id, err = d.str(); err != nil {
-			return nil, err
-		}
-		e.Nodes = append(e.Nodes, id)
-	}
-	return e, nil
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -35,5 +36,46 @@ func TestWriteSeedCorpus(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestControlSeedsByteStable pins the NPC1 bytes against the checked-in
+// corpus an earlier encoder wrote: every complete message re-encodes
+// byte-identically, and every truncated or corrupt one is still refused.
+func TestControlSeedsByteStable(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzControlDecode")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := map[string]bool{"bad-magic": true, "magic-only": true, "trailing-garbage": true}
+	var complete, rejected int
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		m, err := DecodeMessage([]byte(seed))
+		if corrupt[e.Name()] || strings.HasSuffix(e.Name(), "-truncated") {
+			rejected++
+			if err == nil {
+				t.Errorf("%s: corrupt seed decoded", e.Name())
+			}
+			continue
+		}
+		complete++
+		if err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+		} else if got := AppendMessage(nil, m); string(got) != seed {
+			t.Errorf("%s: re-encoded bytes differ:\ngot  %q\nwant %q", e.Name(), got, seed)
+		}
+	}
+	if complete != 15 || rejected != 18 {
+		t.Fatalf("corpus has %d complete and %d corrupt seeds, want 15 and 18", complete, rejected)
 	}
 }

@@ -56,7 +56,7 @@ type FrontConfig struct {
 // difference — and routes every upload by router-ID consistent hash to
 // its owning node, replicating each acknowledged write to the R-1
 // successor journals before acking. Batches that span routers are split
-// per placement group, re-encoded as NPB1, and forwarded with a
+// per placement group, re-encoded as NPB2, and forwarded with a
 // front.route span appended so node-side /debug/traces shows the
 // front→node hop in every waterfall.
 type Front struct {
@@ -368,13 +368,19 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(total)
 }
 
+// decoderPool keeps wire decoders warm across batches: their scratch
+// rows and dictionary-literal interner are reused, as on a node's ingest
+// path. Every caller copies what it keeps out of the decoder.
+var decoderPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
+
 // decodeBatchItems turns either wire form of a /v1/batch body into
 // owned wire.Items. JSON items are transcoded to typed payloads
 // (KindRaw verbatim fallback preserves accept/reject behaviour
-// byte-for-byte); NPB1 items are deep-copied out of decoder scratch.
+// byte-for-byte); NPB2 items are deep-copied out of decoder scratch.
 func decodeBatchItems(contentType string, body []byte) ([]wire.Item, error) {
 	if contentType == wire.ContentTypeBinary || strings.HasPrefix(contentType, wire.ContentTypeBinary+";") {
-		var dec wire.Decoder
+		dec := decoderPool.Get().(*wire.Decoder)
+		defer decoderPool.Put(dec)
 		if err := dec.Reset(body); err != nil {
 			return nil, err
 		}
@@ -473,7 +479,7 @@ func (fail *forwardFailure) write(w http.ResponseWriter) {
 	http.Error(w, fail.msg, fail.status)
 }
 
-// forwardGroup delivers one placement group: the NPB1-encoded sub-batch
+// forwardGroup delivers one placement group: the NPB2-encoded sub-batch
 // to the owner's data plane, then a replicate frame to every successor
 // journal. The client is acked only when all R copies exist; any
 // failure surfaces as a retryable status and the client's idempotency
@@ -563,7 +569,7 @@ func (f *Front) forwardGroup(ctx context.Context, g *placementGroup, traceparent
 
 // proxyEndpoint serves one direct /v1/* endpoint: route by router,
 // forward the body verbatim to the owner, replicate it (wrapped as a
-// one-item NPB1 batch) to the successor journals, and relay the owner's
+// one-item NPB2 batch) to the successor journals, and relay the owner's
 // response. Unkeyed direct posts — registration in practice — are only
 // replayed as map upserts, so failover cannot duplicate rows through
 // them.

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzControlDecode holds the control plane to the same bar as the data
-// plane's NPB1 codec: no input may panic the decoder, and anything that
+// plane's NPB2 codec: no input may panic the decoder, and anything that
 // decodes must re-encode to a byte-identical buffer (so gossip relays
 // and journaled replicate frames are stable across hops).
 func FuzzControlDecode(f *testing.F) {

@@ -70,7 +70,7 @@ type Node struct {
 
 	mu sync.Mutex
 	// journal holds replicate frames this node accepted as a successor:
-	// raw NPB1 batch bytes plus the placement that chose this node. On
+	// raw NPB2 batch bytes plus the placement that chose this node. On
 	// an owner's death the first live successor replays the bytes into
 	// its own collector; idempotency keys make replays converge.
 	journal     []*journalEntry
@@ -187,7 +187,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		mJournalFrames: reg.CounterVec("natpeek_cluster_journal_frames_total",
 			"Replicate frames journaled as a successor, per node.", "node").With(cfg.ID),
 		gJournalBytes: reg.GaugeVec("natpeek_cluster_journal_bytes",
-			"Raw NPB1 bytes held in the replication journal, per node.", "node").With(cfg.ID),
+			"Raw NPB2 bytes held in the replication journal, per node.", "node").With(cfg.ID),
 		mReplayed: reg.CounterVec("natpeek_cluster_replayed_frames_total",
 			"Journaled frames replayed after an owner died, per node.", "node").With(cfg.ID),
 		mReplayRows: reg.CounterVec("natpeek_cluster_replayed_items_total",
@@ -255,7 +255,7 @@ func (n *Node) Store() *dataset.Store { return n.srv.Store() }
 func (n *Node) View() []MemberView { return n.ms.view() }
 
 // JournalStats reports the replication journal's size: frames held,
-// raw NPB1 bytes, and how many frames have been replayed by failover.
+// raw NPB2 bytes, and how many frames have been replayed by failover.
 func (n *Node) JournalStats() (frames, bytes, replayed int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -448,7 +448,7 @@ func (n *Node) gossipLoop() {
 // judged dead, or it came back under a new incarnation (a restart wipes
 // the in-memory store, so "alive again" does not mean the rows are) —
 // and, when this node is the frame's first live successor, replays the
-// raw NPB1 bytes into its own collector as a /v1/batch POST. The scan
+// raw NPB2 bytes into its own collector as a /v1/batch POST. The scan
 // runs every tick, so a replay that fails (or an owner that dies later)
 // is retried until it lands; idempotency keys make every retry converge
 // to exactly-once rows. Frames journaled before the owner was known
@@ -560,7 +560,7 @@ func (n *Node) replay(e *journalEntry) (collector.BatchResult, error) {
 	return total, nil
 }
 
-// postBatchBinary POSTs one NPB1 batch to a data plane and decodes the
+// postBatchBinary POSTs one NPB2 batch to a data plane and decodes the
 // BatchResult. Shared by failover replay and the transfer engine.
 func postBatchBinary(httpc *http.Client, dataAddr string, batch []byte) (collector.BatchResult, error) {
 	var res collector.BatchResult
@@ -769,11 +769,12 @@ func (n *Node) writeCtrl(w http.ResponseWriter, m *Message) {
 	w.Write(AppendMessage(nil, m))
 }
 
-// scanBatch walks an NPB1 buffer and returns its item count plus the
+// scanBatch walks an NPB2 buffer and returns its item count plus the
 // router→keys index of its keyed items, erroring on anything the
 // collector would refuse to decode.
 func scanBatch(batch []byte) (int, map[string][]string, error) {
-	var dec wire.Decoder
+	dec := decoderPool.Get().(*wire.Decoder)
+	defer decoderPool.Put(dec)
 	if err := dec.Reset(batch); err != nil {
 		return 0, nil, err
 	}

@@ -14,8 +14,8 @@
 //     themselves — any at-least-once delivery converges to exactly-once
 //     rows, which is what the chaos soak's zero-lost/zero-duplicated
 //     oracle proves.
-//   - Batches already have a compact wire form (NPB1). Replication and
-//     handoff move raw NPB1 batch bytes, so a replica journals without
+//   - Batches already have a compact wire form (NPB2). Replication and
+//     handoff move raw NPB2 batch bytes, so a replica journals without
 //     decoding rows and a failover replay is a plain /v1/batch POST.
 package cluster
 

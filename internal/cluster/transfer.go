@@ -26,7 +26,7 @@ import (
 //     for a moving shard can land anywhere.
 //  3. Sources run extract-and-send sessions: atomically extract the
 //     moving routers' rows from the store (dedupe keys are retained at
-//     the source), re-encode them as NPB1 batches keyed
+//     the source), re-encode them as NPB2 batches keyed
 //     "<router>:xfer:<src>:<session>:<kind>:<i>", and POST them through
 //     the new owner's own data plane — admission control, dedupe, and
 //     telemetry apply unchanged, and a re-sent chunk flattens to
@@ -332,7 +332,7 @@ type xferChunk struct {
 }
 
 // transferChunks re-encodes an extracted snapshot as per-destination
-// NPB1 batches. Every item carries a deterministic xfer idempotency key
+// NPB2 batches. Every item carries a deterministic xfer idempotency key
 // (so redelivery dedupes) and rows stay in extraction order within each
 // destination. Roster entries travel first as /v1/register items so the
 // destination knows a router before its rows. Device sightings ride as

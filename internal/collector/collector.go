@@ -118,7 +118,7 @@ type Server struct {
 	faults *faultInjector
 
 	// advertiseBinary gates the Accept-Post header through which clients
-	// discover NPB1 support (default on; bismark-server -no-binary).
+	// discover NPB2 support (default on; bismark-server -no-binary).
 	advertiseBinary atomic.Bool
 
 	// ingestObs, when set, sees every keyed ingest decision; see
@@ -453,7 +453,7 @@ func (s *Server) instrument(endpoint string, injectable bool, h http.HandlerFunc
 		start := time.Now()
 		reqs.Inc()
 		// Advertise the binary batch encoding; clients capture this from
-		// the registration response and switch /v1/batch to NPB1.
+		// the registration response and switch /v1/batch to NPB2.
 		if s.advertiseBinary.Load() {
 			w.Header().Set("Accept-Post", wire.ContentTypeBinary+", application/json")
 		}
@@ -644,7 +644,7 @@ type BatchFailure struct {
 	Reason   string `json:"reason"`
 }
 
-// handleBatch ingests a batch of spooled uploads, JSON or binary (NPB1)
+// handleBatch ingests a batch of spooled uploads, JSON or binary (NPB2)
 // by Content-Type. Items are applied independently: an undecodable item
 // is counted, reported in BatchResult.Failed, and skipped without
 // failing the batch (the client's payloads are machine-generated, so a
@@ -872,7 +872,7 @@ type Client struct {
 
 	wireMode WireMode
 	gzipOn   bool
-	// binary records whether the server advertised NPB1 support
+	// binary records whether the server advertised NPB2 support
 	// (Accept-Post on the registration response); WireAuto keys off it.
 	binary atomic.Bool
 
@@ -898,7 +898,7 @@ const (
 	WireAuto WireMode = iota
 	// WireJSON always sends the JSON envelope.
 	WireJSON
-	// WireBinary always sends NPB1, regardless of advertisement.
+	// WireBinary always sends NPB2, regardless of advertisement.
 	WireBinary
 )
 
@@ -1135,7 +1135,7 @@ func (c *Client) post(path string, v any) error {
 }
 
 // sendBatch is the spool's Sender: one POST of a whole batch to
-// /v1/batch, JSON or NPB1 per the negotiated wire mode. Any transport
+// /v1/batch, JSON or NPB2 per the negotiated wire mode. Any transport
 // error or non-2xx status leaves the batch queued; the server's
 // idempotency keys make the redelivery safe. On success, per-item
 // decode failures from the server's BatchResult come back as the
@@ -1238,7 +1238,7 @@ func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Resul
 // encodeBatch renders one batch request body in the client's negotiated
 // encoding, applying gzip when configured. The binary transcode is
 // conservative: any body that does not decode cleanly into its
-// endpoint's typed rows ships as raw JSON inside the NPB1 envelope, so
+// endpoint's typed rows ships as raw JSON inside the NPB2 envelope, so
 // the server's accept/reject outcome matches the JSON path exactly. The
 // returned buffer is drainer-owned and valid until the next call.
 func (c *Client) encodeBatch(payload []BatchItem) (body []byte, contentType string, err error) {

@@ -3,9 +3,12 @@ package collector
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,6 +116,11 @@ func FuzzBatchTranscode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// The binary side transcodes the same canonical items: a
+		// missing body re-marshals as null, which both paths accept.
+		if err := json.Unmarshal(jsonBody, &items); err != nil {
+			t.Fatal(err)
+		}
 		wireItems := make([]wire.Item, len(items))
 		for i, it := range items {
 			wireItems[i] = wire.Item{Endpoint: it.Endpoint, Key: it.Key,
@@ -147,51 +155,30 @@ func replayBatch(t *testing.T, contentType string, body []byte) (string, string)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%s batch: status %d: %s", contentType, rec.Code, rec.Body)
 	}
-	st := srv.Store()
-	rows, err := json.Marshal([]any{st.Uptime, st.Capacity, st.Counts, st.Sightings, st.WiFi, st.Flows, st.Throughput})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec.Body.String(), canonTimes(t, rows)
+	return rec.Body.String(), utcRows(srv.Store())
 }
 
-// canonTimes rewrites every RFC 3339 string in a JSON document to UTC.
-// The binary codec carries instants (UnixNano), so a zoned timestamp
-// decodes as the same instant in UTC — a representation change, not a
-// data change — and a byte compare must not flag it.
-func canonTimes(t *testing.T, doc []byte) string {
-	t.Helper()
-	var v any
-	if err := json.Unmarshal(doc, &v); err != nil {
-		t.Fatalf("canonTimes: %v", err)
-	}
-	var walk func(any) any
-	walk = func(n any) any {
-		switch x := n.(type) {
-		case map[string]any:
-			for k, vv := range x {
-				x[k] = walk(vv)
+// utcRows renders every row with its times in UTC. The binary codec
+// carries instants, so a zoned timestamp decodes as the same instant in
+// UTC — a representation change, not a data change — and the compare
+// must not flag it. %+v formats any year; JSON cannot, and a zoned time
+// near year 0 or 9999 is outside JSON's range once in UTC.
+func utcRows(st *dataset.Store) string {
+	var b strings.Builder
+	for _, rows := range []any{st.Uptime, st.Capacity, st.Counts, st.Sightings, st.WiFi, st.Flows, st.Throughput} {
+		rv := reflect.ValueOf(rows)
+		for i := 0; i < rv.Len(); i++ {
+			row := reflect.New(rv.Index(i).Type()).Elem()
+			row.Set(rv.Index(i))
+			for f := 0; f < row.NumField(); f++ {
+				if t, ok := row.Field(f).Interface().(time.Time); ok {
+					row.Field(f).Set(reflect.ValueOf(t.UTC()))
+				}
 			}
-			return x
-		case []any:
-			for i := range x {
-				x[i] = walk(x[i])
-			}
-			return x
-		case string:
-			if ts, err := time.Parse(time.RFC3339Nano, x); err == nil {
-				return ts.UTC().Format(time.RFC3339Nano)
-			}
-			return x
-		default:
-			return n
+			fmt.Fprintf(&b, "%+v\n", row.Interface())
 		}
 	}
-	out, err := json.Marshal(walk(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	return b.String()
 }
 
 // roundTrip asserts that once data decodes as T, encode→decode→encode

@@ -1,4 +1,4 @@
-// Binary batch ingest: the server half of the NPB1 wire format
+// Binary batch ingest: the server half of the NPB2 wire format
 // (internal/wire) plus the pooled request-body plumbing both decode
 // paths share. The hot loop here is deliberately allocation-free: the
 // request body lands in a pooled buffer sized from Content-Length, items
@@ -236,7 +236,7 @@ func (ap *payloadApplier) apply(st *dataset.Store) {
 
 var decoderPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
 
-// handleBatchWire ingests an NPB1-encoded batch. Typed payloads skip
+// handleBatchWire ingests an NPB2-encoded batch. Typed payloads skip
 // JSON entirely: rows decode in place into the pooled decoder's scratch
 // slices and append straight into the store. KindRaw items (unknown
 // endpoints, payloads the client could not transcode) run through the

@@ -274,11 +274,24 @@ func TestBinaryBatchMatchesJSON(t *testing.T) {
 
 // TestWireNegotiation pins the Accept-Post handshake: an auto client
 // flips to binary against an advertising server, stays on JSON when the
-// advertisement is off, and the rows land either way.
+// advertisement is off, and the rows land either way. The advertised
+// media type names the format version: a client built for the earlier
+// format matched "application/x-natpeek-batch" with strings.Contains,
+// and must now fall back to JSON instead of posting bytes that 400.
 func TestWireNegotiation(t *testing.T) {
 	srv, cli := startPair(t)
 	if !cli.binary.Load() {
 		t.Fatal("auto client did not pick up the binary advertisement")
+	}
+	resp, err := http.Post("http://"+srv.HTTPAddr()+"/v1/register", "application/json",
+		strings.NewReader(`{"router_id":"probe","country":"US"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if ap := resp.Header.Get("Accept-Post"); !strings.Contains(ap, wire.ContentTypeBinary) ||
+		strings.Contains(ap, "application/x-natpeek-batch") {
+		t.Fatalf("Accept-Post = %q: want %q and no earlier-format media type", ap, wire.ContentTypeBinary)
 	}
 	itemsBefore := srv.mItems.With("/v1/uptime").Value()
 	cli.UptimeReport(dataset.UptimeReport{RouterID: "router-1", ReportedAt: t0})

@@ -103,7 +103,7 @@ type Config struct {
 	DirectFraction float64
 	// Workers is the HTTP delivery concurrency (default 8).
 	Workers int
-	// Wire selects the batch encoding: "binary" (default) ships NPB1,
+	// Wire selects the batch encoding: "binary" (default) ships NPB2,
 	// matching what a deployed gateway negotiates; "json" forces the
 	// legacy encoding so soaks keep covering that server path too.
 	// Direct uploads are always JSON — /v1/* endpoints have no binary

@@ -14,10 +14,13 @@
 //
 // Blocks are column-major: one block per data set plus one for the
 // idempotency keys the segment's rows were applied under (the durable
-// half of the exactly-once handoff — see store.go). Within a block each
-// column is written in full before the next, in struct-field order, so a
-// reader that wants one column of one data set touches one contiguous
-// byte range; the footer's offsets make the layout mmap/pread-friendly.
+// half of the exactly-once handoff — see store.go). Each block is the
+// row kind's codec.Schema encoding, the same bytes an NPB2 upload
+// carries for those rows. Within a block each column is written in full
+// before the next, so a reader that wants one column of one data set
+// touches one contiguous byte range; the footer's offsets make the
+// layout mmap/pread-friendly. Footer values use the codec primitives,
+// and its times are codec time values (Unix seconds plus nanoseconds).
 // The trailer is fixed-size so a reader finds the footer by seeking from
 // the end; both the footer and every block carry CRC32s, and a block's
 // CRC is only checked when that block is decoded.
@@ -28,18 +31,22 @@
 package segment
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sort"
 	"time"
 
+	"natpeek/internal/codec"
 	"natpeek/internal/dataset"
 )
 
-var (
-	magicHead = []byte("NPS1")
-	magicTail = []byte("1SPN")
+const (
+	magicHead = "NPS1"
+	magicTail = "1SPN"
 )
+
+var errCorrupt = fmt.Errorf("segment: %w", codec.ErrCorrupt)
 
 const (
 	formatVersion = 1
@@ -64,10 +71,7 @@ const (
 
 // Key is one (router, idempotency key) pair applied into a segment's
 // rows. Segments persist them so dedupe state survives restarts.
-type Key struct {
-	Router string
-	Key    string
-}
+type Key = dataset.RouterKey
 
 // SeqRange identifies the contiguous range of flush sequence numbers a
 // segment file covers — a freshly flushed segment covers [n,n]; a
@@ -112,77 +116,62 @@ type Meta struct {
 // therefore the verify golden snapshots, byte-identical when the segment
 // store substitutes for the in-memory one.
 func Encode(st *dataset.Store, keys []Key, seq SeqRange, replaces []SeqRange) []byte {
-	out := make([]byte, 0, 4096)
-	out = append(out, magicHead...)
+	w := &codec.Writer{Buf: append(make([]byte, 0, 4096), magicHead...)}
 
 	var blocks []blockRef
-	addBlock := func(kind uint64, rows int, payload []byte) {
-		blocks = append(blocks, blockRef{
-			kind: kind,
-			off:  uint64(len(out)),
-			len:  uint64(len(payload)),
-			rows: uint64(rows),
-			crc:  crc32.ChecksumIEEE(payload),
-		})
-		out = append(out, payload...)
-	}
+	blocks = appendBlock(w, blocks, blkUptime, codec.Uptime, st.Uptime)
+	blocks = appendBlock(w, blocks, blkCapacity, codec.Capacity, st.Capacity)
+	blocks = appendBlock(w, blocks, blkCounts, codec.Counts, st.Counts)
+	blocks = appendBlock(w, blocks, blkSightings, codec.Sightings, st.Sightings)
+	blocks = appendBlock(w, blocks, blkWiFi, codec.WiFi, st.WiFi)
+	blocks = appendBlock(w, blocks, blkFlows, codec.Flows, st.Flows)
+	blocks = appendBlock(w, blocks, blkThroughput, codec.Throughput, st.Throughput)
+	blocks = appendBlock(w, blocks, blkKeys, codec.Keys, keys)
 
-	addBlock(blkUptime, len(st.Uptime), encodeUptime(st.Uptime))
-	addBlock(blkCapacity, len(st.Capacity), encodeCapacity(st.Capacity))
-	addBlock(blkCounts, len(st.Counts), encodeCounts(st.Counts))
-	addBlock(blkSightings, len(st.Sightings), encodeSightings(st.Sightings))
-	addBlock(blkWiFi, len(st.WiFi), encodeWiFi(st.WiFi))
-	addBlock(blkFlows, len(st.Flows), encodeFlows(st.Flows))
-	addBlock(blkThroughput, len(st.Throughput), encodeThroughput(st.Throughput))
-	addBlock(blkKeys, len(keys), encodeKeys(keys))
-
-	var f enc
-	f.uvarint(formatVersion)
-	f.uvarint(seq.First)
-	f.uvarint(seq.Last)
-	f.uvarint(uint64(len(replaces)))
-	for _, r := range replaces {
-		f.uvarint(r.First)
-		f.uvarint(r.Last)
-	}
+	start := len(w.Buf)
+	w.Uvarint(formatVersion)
+	w.Uvarint(seq.First)
+	w.Uvarint(seq.Last)
+	codec.AppendList(w, replaces, func(w *codec.Writer, r SeqRange) {
+		w.Uvarint(r.First)
+		w.Uvarint(r.Last)
+	})
 	minT, maxT, ok := timeRange(st)
+	w.Bool(ok)
 	if ok {
-		f.buf = append(f.buf, 1)
-		f.varint(minT.Unix())
-		f.uvarint(uint64(minT.Nanosecond()))
-		f.varint(maxT.Unix())
-		f.uvarint(uint64(maxT.Nanosecond()))
-	} else {
-		f.buf = append(f.buf, 0)
+		w.Time(minT)
+		w.Time(maxT)
 	}
 	ids := make([]string, 0, len(st.RouterCountry))
 	for id := range st.RouterCountry {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	f.uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		f.str(id)
-		f.str(st.RouterCountry[id])
-	}
-	f.uvarint(uint64(len(blocks)))
-	for _, b := range blocks {
-		f.uvarint(b.kind)
-		f.uvarint(b.off)
-		f.uvarint(b.len)
-		f.uvarint(b.rows)
-		f.buf = append(f.buf,
-			byte(b.crc), byte(b.crc>>8), byte(b.crc>>16), byte(b.crc>>24))
-	}
+	codec.AppendList(w, ids, func(w *codec.Writer, id string) {
+		w.Str(id)
+		w.Str(st.RouterCountry[id])
+	})
+	codec.AppendList(w, blocks, func(w *codec.Writer, b blockRef) {
+		w.Uvarint(b.kind)
+		w.Uvarint(b.off)
+		w.Uvarint(b.len)
+		w.Uvarint(b.rows)
+		w.Uint32(b.crc)
+	})
+	footer := w.Buf[start:]
+	w.Uint32(uint32(len(footer)))
+	w.Uint32(crc32.ChecksumIEEE(footer))
+	w.Buf = append(w.Buf, magicTail...)
+	return w.Buf
+}
 
-	out = append(out, f.buf...)
-	fl := uint32(len(f.buf))
-	fcrc := crc32.ChecksumIEEE(f.buf)
-	out = append(out,
-		byte(fl), byte(fl>>8), byte(fl>>16), byte(fl>>24),
-		byte(fcrc), byte(fcrc>>8), byte(fcrc>>16), byte(fcrc>>24))
-	out = append(out, magicTail...)
-	return out
+// appendBlock encodes rows as one block of kind and records its ref.
+func appendBlock[T any](w *codec.Writer, blocks []blockRef, kind uint64, s codec.Schema[T], rows []T) []blockRef {
+	off := len(w.Buf)
+	s.Append(w, rows)
+	payload := w.Buf[off:]
+	return append(blocks, blockRef{kind: kind, off: uint64(off), len: uint64(len(payload)),
+		rows: uint64(len(rows)), crc: crc32.ChecksumIEEE(payload)})
 }
 
 // timeRange scans every row timestamp (zero values excluded).
@@ -234,15 +223,15 @@ type Reader struct {
 // NewReader parses and validates the framing and footer of an encoded
 // segment. It does not touch block payloads.
 func NewReader(b []byte) (*Reader, error) {
-	if len(b) < len(magicHead)+trailerSize || string(b[:4]) != string(magicHead) {
+	if len(b) < len(magicHead)+trailerSize || string(b[:len(magicHead)]) != magicHead {
 		return nil, fmt.Errorf("%w: bad magic or short file", errCorrupt)
 	}
 	t := b[len(b)-trailerSize:]
-	if string(t[8:12]) != string(magicTail) {
+	if string(t[8:12]) != magicTail {
 		return nil, fmt.Errorf("%w: bad trailer magic (torn tail?)", errCorrupt)
 	}
-	flen := uint32(t[0]) | uint32(t[1])<<8 | uint32(t[2])<<16 | uint32(t[3])<<24
-	fcrc := uint32(t[4]) | uint32(t[5])<<8 | uint32(t[6])<<16 | uint32(t[7])<<24
+	flen := binary.LittleEndian.Uint32(t[0:4])
+	fcrc := binary.LittleEndian.Uint32(t[4:8])
 	body := len(b) - trailerSize
 	if int(flen) > body-len(magicHead) {
 		return nil, fmt.Errorf("%w: footer length %d exceeds file", errCorrupt, flen)
@@ -253,118 +242,47 @@ func NewReader(b []byte) (*Reader, error) {
 	}
 	r := &Reader{buf: b}
 	if err := r.parseFooter(footer, uint64(body-int(flen))); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("segment: footer: %w", err)
 	}
 	return r, nil
 }
 
 func (r *Reader) parseFooter(footer []byte, blockEnd uint64) error {
-	d := &dec{buf: footer}
-	v, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if v != formatVersion {
-		return fmt.Errorf("segment: unsupported format version %d", v)
+	d := codec.NewReader(footer)
+	if v := d.Uvarint(); d.Err() == nil && v != formatVersion {
+		return fmt.Errorf("unsupported format version %d", v)
 	}
 	m := &r.meta
-	if m.Seq.First, err = d.uvarint(); err != nil {
-		return err
-	}
-	if m.Seq.Last, err = d.uvarint(); err != nil {
-		return err
-	}
+	m.Seq = SeqRange{First: d.Uvarint(), Last: d.Uvarint()}
 	if m.Seq.Last < m.Seq.First {
-		return fmt.Errorf("%w: inverted seq range", errCorrupt)
+		d.Fail("seq range %d..%d", m.Seq.First, m.Seq.Last)
 	}
-	nr, err := d.uvarint()
-	if err != nil {
-		return err
+	m.Replaces = codec.List(d, func(d *codec.Reader) SeqRange {
+		return SeqRange{First: d.Uvarint(), Last: d.Uvarint()}
+	})
+	if m.HasTimeRange = d.Bool(); m.HasTimeRange {
+		m.MinTime = d.Time()
+		m.MaxTime = d.Time()
 	}
-	if nr > uint64(d.remaining()) {
-		return fmt.Errorf("%w: replaces count %d", errCorrupt, nr)
-	}
-	for i := uint64(0); i < nr; i++ {
-		var sr SeqRange
-		if sr.First, err = d.uvarint(); err != nil {
-			return err
-		}
-		if sr.Last, err = d.uvarint(); err != nil {
-			return err
-		}
-		m.Replaces = append(m.Replaces, sr)
-	}
-	hasRange, err := d.take(1)
-	if err != nil {
-		return err
-	}
-	if hasRange[0] > 1 {
-		return fmt.Errorf("%w: bad time-range flag", errCorrupt)
-	}
-	if hasRange[0] == 1 {
-		m.HasTimeRange = true
-		ts, err := decodeFooterTime(d)
-		if err != nil {
-			return err
-		}
-		m.MinTime = ts
-		if ts, err = decodeFooterTime(d); err != nil {
-			return err
-		}
-		m.MaxTime = ts
-	}
-	nRoster, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if nRoster > uint64(d.remaining()) {
-		return fmt.Errorf("%w: roster count %d", errCorrupt, nRoster)
-	}
+	nRoster := d.Count()
 	m.Roster = make(map[string]string, nRoster)
-	for i := uint64(0); i < nRoster; i++ {
-		id, err := d.str()
-		if err != nil {
-			return err
-		}
-		cc, err := d.str()
-		if err != nil {
-			return err
-		}
-		m.Roster[id] = cc
+	for i := 0; i < nRoster && d.Err() == nil; i++ {
+		id := d.Str()
+		m.Roster[id] = d.Str()
 	}
-	nb, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	nb := d.Uvarint()
 	if nb > maxBlocks {
-		return fmt.Errorf("%w: %d blocks", errCorrupt, nb)
+		d.Fail("block count %d", nb)
 	}
-	for i := uint64(0); i < nb; i++ {
-		var b blockRef
-		if b.kind, err = d.uvarint(); err != nil {
-			return err
-		}
-		if b.off, err = d.uvarint(); err != nil {
-			return err
-		}
-		if b.len, err = d.uvarint(); err != nil {
-			return err
-		}
-		if b.rows, err = d.uvarint(); err != nil {
-			return err
-		}
-		cb, err := d.take(4)
-		if err != nil {
-			return err
-		}
-		b.crc = uint32(cb[0]) | uint32(cb[1])<<8 | uint32(cb[2])<<16 | uint32(cb[3])<<24
+	for i := uint64(0); i < nb && d.Err() == nil; i++ {
+		b := blockRef{kind: d.Uvarint(), off: d.Uvarint(), len: d.Uvarint(), rows: d.Uvarint(), crc: d.Uint32()}
 		if b.off < uint64(len(magicHead)) || b.off+b.len < b.off || b.off+b.len > blockEnd {
-			return fmt.Errorf("%w: block %d spans [%d,%d) outside payload", errCorrupt, b.kind, b.off, b.off+b.len)
+			d.Fail("block %d spanning [%d,%d) outside payload", b.kind, b.off, b.off+b.len)
 		}
 		// Each row consumes at least one byte in its first column, so a
 		// rows count beyond the payload size is forged.
-		if b.rows > b.len && b.rows > 0 {
-			return fmt.Errorf("%w: block %d claims %d rows in %d bytes", errCorrupt, b.kind, b.rows, b.len)
+		if b.rows > b.len {
+			d.Fail("block %d claiming %d rows in %d bytes", b.kind, b.rows, b.len)
 		}
 		m.blocks = append(m.blocks, b)
 		switch b.kind {
@@ -387,51 +305,39 @@ func (r *Reader) parseFooter(footer []byte, blockEnd uint64) error {
 		}
 	}
 	m.Rows.Routers = len(m.Roster)
-	return nil
-}
-
-func decodeFooterTime(d *dec) (time.Time, error) {
-	sec, err := d.varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	nsec, err := d.uvarint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	if nsec >= uint64(time.Second) {
-		return time.Time{}, fmt.Errorf("%w: footer time nanoseconds", errCorrupt)
-	}
-	return time.Unix(sec, int64(nsec)).UTC(), nil
+	return d.Err()
 }
 
 // Meta returns the parsed footer metadata.
 func (r *Reader) Meta() Meta { return r.meta }
 
-// block returns the CRC-validated payload decoder for kind, or nil if
-// the segment has no such block.
-func (r *Reader) block(kind uint64) (*dec, int, error) {
+// readBlock CRC-checks and decodes the segment's first block of kind
+// with its schema; a segment without the block, or with zero rows in
+// it, yields nil rows.
+func readBlock[T any](r *Reader, kind uint64, s codec.Schema[T]) ([]T, error) {
 	for _, b := range r.meta.blocks {
 		if b.kind != kind {
 			continue
 		}
 		payload := r.buf[b.off : b.off+b.len]
 		if crc32.ChecksumIEEE(payload) != b.crc {
-			return nil, 0, fmt.Errorf("%w: block %d CRC mismatch", errCorrupt, kind)
+			return nil, fmt.Errorf("%w: block %d CRC mismatch", errCorrupt, kind)
 		}
-		return &dec{buf: payload}, int(b.rows), nil
+		if b.rows == 0 {
+			return nil, nil
+		}
+		d := codec.NewReader(payload)
+		rows := s.Decode(d, nil, int(b.rows))
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("segment: block %d: %w", kind, err)
+		}
+		return rows, nil
 	}
-	return nil, 0, nil
+	return nil, nil
 }
 
 // Keys decodes the idempotency-key block.
-func (r *Reader) Keys() ([]Key, error) {
-	d, n, err := r.block(blkKeys)
-	if err != nil || d == nil {
-		return nil, err
-	}
-	return decodeKeys(d, n)
-}
+func (r *Reader) Keys() ([]Key, error) { return readBlock(r, blkKeys, codec.Keys) }
 
 // Rows decodes every data-set block into a plain Store (arrival order
 // preserved). The returned store has no heartbeat log and an empty
@@ -442,25 +348,25 @@ func (r *Reader) Rows() (*dataset.Store, error) {
 		st.RouterCountry[id] = cc
 	}
 	var err error
-	if st.Uptime, err = r.uptime(); err != nil {
+	if st.Uptime, err = readBlock(r, blkUptime, codec.Uptime); err != nil {
 		return nil, err
 	}
-	if st.Capacity, err = r.capacity(); err != nil {
+	if st.Capacity, err = readBlock(r, blkCapacity, codec.Capacity); err != nil {
 		return nil, err
 	}
-	if st.Counts, err = r.counts(); err != nil {
+	if st.Counts, err = readBlock(r, blkCounts, codec.Counts); err != nil {
 		return nil, err
 	}
-	if st.Sightings, err = r.sightings(); err != nil {
+	if st.Sightings, err = readBlock(r, blkSightings, codec.Sightings); err != nil {
 		return nil, err
 	}
-	if st.WiFi, err = r.wifi(); err != nil {
+	if st.WiFi, err = readBlock(r, blkWiFi, codec.WiFi); err != nil {
 		return nil, err
 	}
-	if st.Flows, err = r.flows(); err != nil {
+	if st.Flows, err = readBlock(r, blkFlows, codec.Flows); err != nil {
 		return nil, err
 	}
-	if st.Throughput, err = r.throughput(); err != nil {
+	if st.Throughput, err = readBlock(r, blkThroughput, codec.Throughput); err != nil {
 		return nil, err
 	}
 	return st, nil

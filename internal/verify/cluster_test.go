@@ -100,7 +100,7 @@ func TestClusterGoldenDrainMidRun(t *testing.T) {
 	goldenRebalance(t, "drain", false)
 }
 
-// JSON-wire variants cover the front's JSON decode + regroup + NPB1
+// JSON-wire variants cover the front's JSON decode + regroup + NPB2
 // re-encode path under a concurrent scale event.
 func TestClusterGoldenJoinMidRunJSON(t *testing.T) {
 	if testing.Short() {
@@ -118,7 +118,7 @@ func TestClusterGoldenDrainMidRunJSON(t *testing.T) {
 
 // TestClusterGoldenEquivalenceJSON re-runs the cluster equivalence with
 // clients forced onto the legacy JSON batch encoding, covering the
-// front's JSON decode + regroup + NPB1 re-encode path end to end.
+// front's JSON decode + regroup + NPB2 re-encode path end to end.
 func TestClusterGoldenEquivalenceJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-deployment rerun; covered by the binary-wire variant in short mode")

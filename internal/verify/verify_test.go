@@ -115,7 +115,7 @@ func snapshotDiff(want, got []byte) string {
 }
 
 // TestGoldenIdenticalAcrossWireFormats pins the tentpole's core
-// promise: the NPB1 binary batch encoding is a transport detail. A run
+// promise: the NPB2 binary batch encoding is a transport detail. A run
 // forced onto legacy JSON and a run left to negotiate binary must
 // produce byte-identical snapshots.
 func TestGoldenIdenticalAcrossWireFormats(t *testing.T) {
@@ -131,7 +131,7 @@ func TestGoldenIdenticalAcrossWireFormats(t *testing.T) {
 }
 
 // TestPrivacyScannerSeesThroughBinary guards the scanner itself: a MAC
-// address that ships inside an NPB1 body as 6 raw bytes — invisible to
+// address that ships inside an NPB2 body as 6 raw bytes — invisible to
 // a textual grep of the wire bytes — must still be caught once the
 // scanner decodes the batch.
 func TestPrivacyScannerSeesThroughBinary(t *testing.T) {

@@ -1,72 +1,59 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"time"
 
+	"natpeek/internal/codec"
 	"natpeek/internal/dataset"
-	"natpeek/internal/mac"
 	"natpeek/internal/trace"
 )
 
-// Decoder streams items out of one NPB1 buffer. It is built for a
+// Decoder streams items out of one NPB2 buffer. It is built for a
 // sync.Pool: Reset rebinds it to a new buffer while keeping every
 // scratch slice (dictionary, row slices, span slice) at its high-water
 // capacity, so a warmed decoder ingests a batch with close to zero
 // allocations — the only per-batch allocations left are the dictionary
-// string copies themselves.
+// string copies themselves, and its interner serves repeated ones.
 //
 // Hostile input is bounded, not trusted: every length and count is
 // checked against the bytes actually remaining, so a forged header
-// cannot make the decoder allocate beyond its input's size. A corrupt
-// buffer yields an error from Reset or Next; it never panics.
+// cannot make the decoder allocate beyond what an honest buffer of its
+// size would need. A corrupt buffer yields an error from Reset or Next;
+// it never panics.
 //
 // The Item filled by Next reuses the decoder's scratch storage — see
 // Payload's doc for the aliasing rules.
 type Decoder struct {
-	data []byte
-	off  int
+	r    codec.Reader
+	in   codec.Interner
 	left int // items not yet decoded
-	prev int64
 
-	dict []string
-	// interned caches dictionary literals across Reset calls. A pooled
-	// decoder sees the same router IDs, domains, protocols, and span
-	// names batch after batch; serving them from the cache makes the
-	// dictionary copies a one-time cost instead of a per-batch one.
-	// Bounded (entries and string length) so hostile input cannot grow
-	// it past internMaxEntries strings; on overflow it is cleared and
-	// re-warms from live traffic.
-	interned map[string]string
-
+	uptime     [1]dataset.UptimeReport
+	capacity   [1]dataset.CapacityMeasure
+	count      [1]dataset.DeviceCount
 	sightings  []dataset.DeviceSighting
 	wifi       []dataset.WiFiScan
 	flows      []dataset.FlowRecord
 	throughput []dataset.ThroughputSample
 	spans      []trace.Span
+	attrCounts []int
 	tr         trace.Wire
 }
 
 // Reset binds the decoder to buf and decodes the envelope header,
-// returning an error if buf is not an NPB1 batch.
+// returning an error if buf is not an NPB2 batch.
 func (d *Decoder) Reset(buf []byte) error {
-	d.data = buf
-	d.off = 0
+	d.r.Reset(buf)
+	d.r.Intern = &d.in
 	d.left = 0
-	d.prev = 0
-	d.dict = d.dict[:0]
-	if len(buf) < len(magic) || string(buf[:len(magic)]) != magic {
-		return fmt.Errorf("wire: not an NPB1 batch")
+	if string(d.r.Raw(len(magic))) != magic {
+		return fmt.Errorf("wire: not an NPB2 batch")
 	}
-	d.off = len(magic)
-	n, err := d.count()
-	if err != nil {
-		return err
+	d.left = d.r.Count()
+	if err := d.r.Err(); err != nil {
+		return fmt.Errorf("wire: %w", err)
 	}
-	d.left = n
 	return nil
 }
 
@@ -75,445 +62,92 @@ func (d *Decoder) Len() int { return d.left }
 
 // Next decodes the next item into it, reusing the decoder's scratch
 // storage. It returns io.EOF after the last item — and, like the JSON
-// path post-bugfix, rejects trailing bytes after the final item.
+// path, rejects trailing bytes after the final item.
 func (d *Decoder) Next(it *Item) error {
+	r := &d.r
 	if d.left == 0 {
-		if d.off != len(d.data) {
-			return fmt.Errorf("wire: %d trailing bytes after batch", len(d.data)-d.off)
+		if err := r.End(); err != nil {
+			return fmt.Errorf("wire: %w", err)
 		}
 		return io.EOF
 	}
 	d.left--
 	*it = Item{}
 
-	meta, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	meta := r.Uvarint()
 	kind := Kind(meta & 0x7)
-	if kind > kindMax {
-		return fmt.Errorf("wire: unknown payload kind %d", kind)
+	if kind > kindMax || meta&^(hasTrace|0x7) != 0 {
+		r.Fail("item meta %#x", meta)
 	}
-	it.Payload.Kind = kind
+	p := &it.Payload
+	p.Kind = kind
+	it.Endpoint = kind.Endpoint()
 	if kind == KindRaw {
-		if it.Endpoint, err = d.ref(); err != nil {
-			return err
-		}
-	} else {
-		it.Endpoint = kind.Endpoint()
+		it.Endpoint = r.Str()
 	}
-	if it.Key, err = d.str(); err != nil {
-		return err
+	it.Key = r.Str()
+	if meta&hasTrace != 0 {
+		d.trace(it)
 	}
-	if meta&(1<<3) != 0 {
-		if err := d.decodeTrace(it); err != nil {
-			return err
-		}
+	switch kind {
+	case KindUptime:
+		codec.Uptime.Decode(r, d.uptime[:], 1) // decodes in place
+		p.Uptime = d.uptime[0]
+	case KindCapacity:
+		codec.Capacity.Decode(r, d.capacity[:], 1)
+		p.Capacity = d.capacity[0]
+	case KindDevices:
+		n := r.Count()
+		codec.Counts.Decode(r, d.count[:], 1)
+		p.Count = d.count[0]
+		d.sightings = codec.Sightings.Decode(r, d.sightings, n)
+		p.Sightings = d.sightings
+	case KindWiFi:
+		d.wifi = codec.WiFi.Decode(r, d.wifi, r.Count())
+		p.WiFi = d.wifi
+	case KindFlows:
+		d.flows = codec.Flows.Decode(r, d.flows, r.Count())
+		p.Flows = d.flows
+	case KindThroughput:
+		d.throughput = codec.Throughput.Decode(r, d.throughput, r.Count())
+		p.Throughput = d.throughput
+	default: // KindRaw: zero-copy alias into the input buffer
+		p.Raw = r.Blob()
 	}
-	return d.decodePayload(&it.Payload)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("wire: %w", err)
+	}
+	return nil
 }
 
-func (d *Decoder) decodeTrace(it *Item) error {
-	router, err := d.ref()
-	if err != nil {
-		return err
+// trace decodes an item's trace into scratch. Attrs are freshly
+// allocated, never scratch: span slices are copied into traces the
+// recorder retains long after this batch's buffers are reused, and that
+// copy is shallow.
+func (d *Decoder) trace(it *Item) {
+	r := &d.r
+	r.ResetDict()
+	router := r.Ref()
+	spans := spanSchema.Decode(r, d.spans, r.Count())
+	counts := d.attrCounts[:0]
+	total := 0
+	for range spans {
+		n := r.Count()
+		counts = append(counts, n)
+		total += n
 	}
-	n, err := d.count()
-	if err != nil {
-		return err
+	d.attrCounts = counts
+	attrs := attrSchema.Decode(r, nil, total)
+	if r.Err() != nil {
+		return
 	}
-	spans := d.spans[:0]
-	for i := 0; i < n; i++ {
-		var sp trace.Span
-		if sp.Name, err = d.ref(); err != nil {
-			return err
+	for i, n := range counts {
+		spans[i].Attrs = nil
+		if n > 0 {
+			spans[i].Attrs, attrs = attrs[:n:n], attrs[n:]
 		}
-		if sp.Status, err = d.ref(); err != nil {
-			return err
-		}
-		if sp.Start, err = d.time(); err != nil {
-			return err
-		}
-		if sp.End, err = d.time(); err != nil {
-			return err
-		}
-		na, err := d.count()
-		if err != nil {
-			return err
-		}
-		if na > 0 {
-			// Attrs are freshly allocated, never scratch: span slices are
-			// copied into traces the recorder retains long after this
-			// batch's buffers are reused, and that copy is shallow. Grown
-			// incrementally rather than sized from na — count() only
-			// guarantees one input byte per element, so an up-front make
-			// would hand a forged count ~32x amplification before the
-			// decode failed.
-			attrs := make([]trace.Attr, 0, min(na, 8))
-			for j := 0; j < na; j++ {
-				var a trace.Attr
-				if a.K, err = d.ref(); err != nil {
-					return err
-				}
-				if a.V, err = d.ref(); err != nil {
-					return err
-				}
-				attrs = append(attrs, a)
-			}
-			sp.Attrs = attrs
-		}
-		spans = append(spans, sp)
 	}
 	d.spans = spans
 	d.tr = trace.Wire{Router: router, Spans: spans}
 	it.Trace = &d.tr
-	return nil
-}
-
-func (d *Decoder) decodePayload(p *Payload) error {
-	var err error
-	switch p.Kind {
-	case KindUptime:
-		r := &p.Uptime
-		if r.RouterID, err = d.ref(); err != nil {
-			return err
-		}
-		if r.ReportedAt, err = d.time(); err != nil {
-			return err
-		}
-		up, err := d.varint()
-		if err != nil {
-			return err
-		}
-		r.Uptime = time.Duration(up)
-	case KindCapacity:
-		c := &p.Capacity
-		if c.RouterID, err = d.ref(); err != nil {
-			return err
-		}
-		if c.MeasuredAt, err = d.time(); err != nil {
-			return err
-		}
-		if c.UpBps, err = d.f64(); err != nil {
-			return err
-		}
-		if c.DownBps, err = d.f64(); err != nil {
-			return err
-		}
-	case KindDevices:
-		c := &p.Count
-		if c.RouterID, err = d.ref(); err != nil {
-			return err
-		}
-		if c.At, err = d.time(); err != nil {
-			return err
-		}
-		if c.Wired, err = d.intField(); err != nil {
-			return err
-		}
-		if c.W24, err = d.intField(); err != nil {
-			return err
-		}
-		if c.W5, err = d.intField(); err != nil {
-			return err
-		}
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		rows := d.sightings[:0]
-		for i := 0; i < n; i++ {
-			var s dataset.DeviceSighting
-			if s.RouterID, err = d.ref(); err != nil {
-				return err
-			}
-			if s.At, err = d.time(); err != nil {
-				return err
-			}
-			if s.Device, err = d.mac(); err != nil {
-				return err
-			}
-			k, err := d.intField()
-			if err != nil {
-				return err
-			}
-			s.Kind = dataset.ConnKind(k)
-			rows = append(rows, s)
-		}
-		d.sightings = rows
-		p.Sightings = rows
-	case KindWiFi:
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		rows := d.wifi[:0]
-		for i := 0; i < n; i++ {
-			var s dataset.WiFiScan
-			if s.RouterID, err = d.ref(); err != nil {
-				return err
-			}
-			if s.At, err = d.time(); err != nil {
-				return err
-			}
-			if s.Band, err = d.ref(); err != nil {
-				return err
-			}
-			if s.Channel, err = d.intField(); err != nil {
-				return err
-			}
-			if s.VisibleAPs, err = d.intField(); err != nil {
-				return err
-			}
-			if s.Clients, err = d.intField(); err != nil {
-				return err
-			}
-			rows = append(rows, s)
-		}
-		d.wifi = rows
-		p.WiFi = rows
-	case KindFlows:
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		rows := d.flows[:0]
-		for i := 0; i < n; i++ {
-			var f dataset.FlowRecord
-			if f.RouterID, err = d.ref(); err != nil {
-				return err
-			}
-			if f.Device, err = d.mac(); err != nil {
-				return err
-			}
-			if f.Domain, err = d.ref(); err != nil {
-				return err
-			}
-			if f.Proto, err = d.ref(); err != nil {
-				return err
-			}
-			if f.First, err = d.time(); err != nil {
-				return err
-			}
-			if f.Last, err = d.time(); err != nil {
-				return err
-			}
-			if f.UpBytes, err = d.varint(); err != nil {
-				return err
-			}
-			if f.DownBytes, err = d.varint(); err != nil {
-				return err
-			}
-			if f.UpPkts, err = d.varint(); err != nil {
-				return err
-			}
-			if f.DownPkts, err = d.varint(); err != nil {
-				return err
-			}
-			if f.Conns, err = d.varint(); err != nil {
-				return err
-			}
-			rows = append(rows, f)
-		}
-		d.flows = rows
-		p.Flows = rows
-	case KindThroughput:
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		rows := d.throughput[:0]
-		for i := 0; i < n; i++ {
-			var s dataset.ThroughputSample
-			if s.RouterID, err = d.ref(); err != nil {
-				return err
-			}
-			if s.Minute, err = d.time(); err != nil {
-				return err
-			}
-			if s.Dir, err = d.ref(); err != nil {
-				return err
-			}
-			if s.PeakBps, err = d.f64(); err != nil {
-				return err
-			}
-			if s.TotalBytes, err = d.varint(); err != nil {
-				return err
-			}
-			rows = append(rows, s)
-		}
-		d.throughput = rows
-		p.Throughput = rows
-	default: // KindRaw: zero-copy alias into the input buffer
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		if p.Raw, err = d.bytes(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *Decoder) corrupt(what string) error {
-	return fmt.Errorf("wire: corrupt batch: bad %s at offset %d", what, d.off)
-}
-
-func (d *Decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.corrupt("uvarint")
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *Decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.corrupt("varint")
-	}
-	d.off += n
-	return v, nil
-}
-
-// count reads a element/length count and bounds it by the bytes left in
-// the buffer (every counted element costs at least one byte), so forged
-// counts cannot drive huge allocations.
-func (d *Decoder) count() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(d.data)-d.off) {
-		return 0, d.corrupt("count")
-	}
-	return int(v), nil
-}
-
-func (d *Decoder) intField() (int, error) {
-	v, err := d.varint()
-	if err != nil {
-		return 0, err
-	}
-	return int(v), nil
-}
-
-func (d *Decoder) bytes(n int) ([]byte, error) {
-	if n > len(d.data)-d.off {
-		return nil, d.corrupt("length")
-	}
-	b := d.data[d.off : d.off+n : d.off+n]
-	d.off += n
-	return b, nil
-}
-
-// str reads a length-prefixed string, copying out of the input buffer
-// (strings may be retained by the store past the buffer's lifetime).
-func (d *Decoder) str() (string, error) {
-	n, err := d.count()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// Dictionary-literal interning bounds: strings longer than
-// internMaxLen stay per-batch copies, and the cache holds at most
-// internMaxEntries strings (≤1 MiB) before being cleared.
-const (
-	internMaxLen     = 256
-	internMaxEntries = 4096
-)
-
-// internStr reads a length-prefixed string like str, but serves
-// repeated values from the cross-batch intern cache without copying.
-// Only dictionary literals come through here — item keys are unique by
-// design and would only churn the cache.
-func (d *Decoder) internStr() (string, error) {
-	n, err := d.count()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	if len(b) == 0 || len(b) > internMaxLen {
-		return string(b), nil
-	}
-	if s, ok := d.interned[string(b)]; ok { // no alloc: map index on string(b)
-		return s, nil
-	}
-	if len(d.interned) >= internMaxEntries {
-		clear(d.interned)
-	}
-	if d.interned == nil {
-		d.interned = make(map[string]string)
-	}
-	s := string(b)
-	d.interned[s] = s
-	return s, nil
-}
-
-// ref resolves one dictionary-coded string: 0 introduces a literal (and
-// interns it), v>0 reuses entry v-1. Each distinct string is copied
-// exactly once per batch, however many rows carry it — and at most once
-// per pooled decoder lifetime when it fits the intern cache.
-func (d *Decoder) ref() (string, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if v == 0 {
-		s, err := d.internStr()
-		if err != nil {
-			return "", err
-		}
-		d.dict = append(d.dict, s)
-		return s, nil
-	}
-	if v > uint64(len(d.dict)) {
-		return "", d.corrupt("dictionary reference")
-	}
-	return d.dict[v-1], nil
-}
-
-func (d *Decoder) f64() (float64, error) {
-	if len(d.data)-d.off < 8 {
-		return 0, d.corrupt("float64")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
-	d.off += 8
-	return v, nil
-}
-
-func (d *Decoder) mac() (mac.Addr, error) {
-	var a mac.Addr
-	if len(d.data)-d.off < len(a) {
-		return a, d.corrupt("mac")
-	}
-	copy(a[:], d.data[d.off:])
-	d.off += len(a)
-	return a, nil
-}
-
-// time reads one link of the delta chain. Decoded times are UTC, like
-// every timestamp the JSON path parses from RFC 3339 "Z" bodies, so the
-// two decode paths yield identical rows.
-func (d *Decoder) time() (time.Time, error) {
-	delta, err := d.varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	if delta == math.MinInt64 {
-		return time.Time{}, nil
-	}
-	d.prev += delta // wrapping, mirrors the encoder exactly
-	return time.Unix(0, d.prev).UTC(), nil
 }

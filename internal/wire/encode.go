@@ -1,9 +1,28 @@
 package wire
 
 import (
-	"encoding/binary"
-	"math"
 	"time"
+
+	"natpeek/internal/codec"
+	"natpeek/internal/dataset"
+	"natpeek/internal/trace"
+)
+
+// hasTrace is the item meta bit that marks a traced item.
+const hasTrace = 1 << 3
+
+// The trace's span and attr columns.
+var (
+	spanSchema = codec.Schema[trace.Span]{
+		codec.Refs(func(s *trace.Span) *string { return &s.Name }),
+		codec.Refs(func(s *trace.Span) *string { return &s.Status }),
+		codec.Times(func(s *trace.Span) *time.Time { return &s.Start }),
+		codec.Times(func(s *trace.Span) *time.Time { return &s.End }),
+	}
+	attrSchema = codec.Schema[trace.Attr]{
+		codec.Refs(func(a *trace.Attr) *string { return &a.K }),
+		codec.Refs(func(a *trace.Attr) *string { return &a.V }),
+	}
 )
 
 // AppendBatch encodes a whole batch onto dst and returns the extended
@@ -12,157 +31,76 @@ import (
 // disagrees with KindFor(Endpoint) must use KindRaw; PayloadFromJSON
 // guarantees that invariant for transcoded items.
 func AppendBatch(dst []byte, items []Item) []byte {
-	e := encoder{buf: append(dst, magic...), dict: make(map[string]uint64, 16)}
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(items)))
+	e := encoder{w: codec.Writer{Buf: append(dst, magic...)}}
+	e.w.Uvarint(uint64(len(items)))
 	for i := range items {
 		e.item(&items[i])
 	}
-	return e.buf
+	return e.w.Buf
 }
 
-// encoder carries the per-batch dictionary and timestamp chain.
+// encoder holds one-row views of the single-row kinds, so they encode
+// as blocks without a slice allocation per item, and the flattened
+// attrs of the trace being written.
 type encoder struct {
-	buf  []byte
-	dict map[string]uint64
-	prev int64
+	w        codec.Writer
+	uptime   [1]dataset.UptimeReport
+	capacity [1]dataset.CapacityMeasure
+	count    [1]dataset.DeviceCount
+	attrs    []trace.Attr
 }
 
 func (e *encoder) item(it *Item) {
+	w := &e.w
 	meta := uint64(it.Payload.Kind)
 	if it.Trace != nil {
-		meta |= 1 << 3
+		meta |= hasTrace
 	}
-	e.buf = binary.AppendUvarint(e.buf, meta)
+	w.Uvarint(meta)
 	if it.Payload.Kind == KindRaw {
-		e.ref(it.Endpoint)
+		w.Str(it.Endpoint)
 	}
-	e.str(it.Key)
+	w.Str(it.Key)
 	if it.Trace != nil {
-		e.ref(it.Trace.Router)
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(it.Trace.Spans)))
-		for _, sp := range it.Trace.Spans {
-			e.ref(sp.Name)
-			e.ref(sp.Status)
-			e.time(sp.Start)
-			e.time(sp.End)
-			e.buf = binary.AppendUvarint(e.buf, uint64(len(sp.Attrs)))
-			for _, a := range sp.Attrs {
-				e.ref(a.K)
-				e.ref(a.V)
-			}
-		}
+		e.trace(it.Trace)
 	}
-	e.payload(&it.Payload)
-}
-
-func (e *encoder) payload(p *Payload) {
+	p := &it.Payload
 	switch p.Kind {
 	case KindUptime:
-		e.ref(p.Uptime.RouterID)
-		e.time(p.Uptime.ReportedAt)
-		e.varint(int64(p.Uptime.Uptime))
+		e.uptime[0] = p.Uptime
+		codec.Uptime.Append(w, e.uptime[:])
 	case KindCapacity:
-		e.ref(p.Capacity.RouterID)
-		e.time(p.Capacity.MeasuredAt)
-		e.f64(p.Capacity.UpBps)
-		e.f64(p.Capacity.DownBps)
+		e.capacity[0] = p.Capacity
+		codec.Capacity.Append(w, e.capacity[:])
 	case KindDevices:
-		e.ref(p.Count.RouterID)
-		e.time(p.Count.At)
-		e.varint(int64(p.Count.Wired))
-		e.varint(int64(p.Count.W24))
-		e.varint(int64(p.Count.W5))
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.Sightings)))
-		for _, s := range p.Sightings {
-			e.ref(s.RouterID)
-			e.time(s.At)
-			e.buf = append(e.buf, s.Device[:]...)
-			e.varint(int64(s.Kind))
-		}
+		w.Uvarint(uint64(len(p.Sightings)))
+		e.count[0] = p.Count
+		codec.Counts.Append(w, e.count[:])
+		codec.Sightings.Append(w, p.Sightings)
 	case KindWiFi:
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.WiFi)))
-		for _, s := range p.WiFi {
-			e.ref(s.RouterID)
-			e.time(s.At)
-			e.ref(s.Band)
-			e.varint(int64(s.Channel))
-			e.varint(int64(s.VisibleAPs))
-			e.varint(int64(s.Clients))
-		}
+		w.Uvarint(uint64(len(p.WiFi)))
+		codec.WiFi.Append(w, p.WiFi)
 	case KindFlows:
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.Flows)))
-		for _, f := range p.Flows {
-			e.ref(f.RouterID)
-			e.buf = append(e.buf, f.Device[:]...)
-			e.ref(f.Domain)
-			e.ref(f.Proto)
-			e.time(f.First)
-			e.time(f.Last)
-			e.varint(f.UpBytes)
-			e.varint(f.DownBytes)
-			e.varint(f.UpPkts)
-			e.varint(f.DownPkts)
-			e.varint(f.Conns)
-		}
+		w.Uvarint(uint64(len(p.Flows)))
+		codec.Flows.Append(w, p.Flows)
 	case KindThroughput:
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.Throughput)))
-		for _, s := range p.Throughput {
-			e.ref(s.RouterID)
-			e.time(s.Minute)
-			e.ref(s.Dir)
-			e.f64(s.PeakBps)
-			e.varint(s.TotalBytes)
-		}
+		w.Uvarint(uint64(len(p.Throughput)))
+		codec.Throughput.Append(w, p.Throughput)
 	default: // KindRaw
-		e.buf = binary.AppendUvarint(e.buf, uint64(len(p.Raw)))
-		e.buf = append(e.buf, p.Raw...)
+		w.Blob(p.Raw)
 	}
 }
 
-// ref dictionary-codes a string: entry v-1 when seen before, else a 0
-// marker plus the literal, which is assigned the next index.
-func (e *encoder) ref(s string) {
-	if idx, ok := e.dict[s]; ok {
-		e.buf = binary.AppendUvarint(e.buf, idx+1)
-		return
+func (e *encoder) trace(tr *trace.Wire) {
+	w := &e.w
+	w.ResetDict()
+	w.Ref(tr.Router)
+	w.Uvarint(uint64(len(tr.Spans)))
+	spanSchema.Append(w, tr.Spans)
+	e.attrs = e.attrs[:0]
+	for _, sp := range tr.Spans {
+		w.Uvarint(uint64(len(sp.Attrs)))
+		e.attrs = append(e.attrs, sp.Attrs...)
 	}
-	e.dict[s] = uint64(len(e.dict))
-	e.buf = binary.AppendUvarint(e.buf, 0)
-	e.str(s)
-}
-
-func (e *encoder) str(s string) {
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) varint(v int64) {
-	e.buf = binary.AppendVarint(e.buf, v)
-}
-
-func (e *encoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-// time appends one link of the batch-wide timestamp delta chain; the
-// zero time is the math.MinInt64 sentinel and leaves the chain as is.
-//
-// A non-zero instant whose delta lands exactly on the sentinel is
-// nudged forward 1 ns. Payload times never get here — PayloadFromJSON's
-// timeEncodable guard confines them to a range whose deltas cannot
-// reach MinInt64 — but span times come straight from client clocks, and
-// without the nudge such a delta would decode as the zero time AND
-// leave the decoder's chain un-advanced while the encoder's moved,
-// skewing every later timestamp in the batch.
-func (e *encoder) time(t time.Time) {
-	if t.IsZero() {
-		e.buf = binary.AppendVarint(e.buf, math.MinInt64)
-		return
-	}
-	n := t.UnixNano()
-	if n-e.prev == math.MinInt64 {
-		n++
-	}
-	e.buf = binary.AppendVarint(e.buf, n-e.prev)
-	e.prev = n
+	attrSchema.Append(w, e.attrs)
 }

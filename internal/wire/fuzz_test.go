@@ -37,8 +37,8 @@ func drain(buf []byte) ([]Item, bool) {
 // the decoded items and decoding again yields the same items.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("NPB1"))
-	f.Add([]byte("NPB1\x00"))
+	f.Add([]byte(magic))
+	f.Add([]byte(magic + "\x00"))
 	f.Add([]byte("not a batch at all"))
 	f.Add(AppendBatch(nil, nil))
 	f.Add(AppendBatch(nil, sampleItems()))
@@ -85,9 +85,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, router, key, domain string, unixNano, counter int64, fval float64, withTrace bool) {
 		at := time.Unix(0, unixNano%int64(4e18)).UTC()
-		if !timeEncodable(at) {
-			at = t0()
-		}
 		dev := mac.Addr{1, 2, 3, 4, 5, byte(counter)}
 		items := []Item{
 			{Endpoint: "/v1/uptime", Key: key, Payload: Payload{Kind: KindUptime,
@@ -104,9 +101,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 				{Name: "spool.queued", Status: domain, Start: at, End: at.Add(time.Second)},
 				{Name: "spool.send", Start: at, Attrs: []trace.Attr{{K: "attempt", V: key}}},
 			}}
-		}
-		if !timeEncodable(items[1].Payload.Flows[0].Last) {
-			items[1].Payload.Flows[0].Last = at
 		}
 		got, ok := drain(AppendBatch(nil, items))
 		if !ok {

@@ -2,24 +2,20 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"runtime"
 	"testing"
 	"time"
 
+	"natpeek/internal/codec"
 	"natpeek/internal/trace"
 )
 
-// TestSpanTimeSentinelCollision pins the encoder's guard against a span
-// timestamp whose delta against the chain is exactly math.MinInt64 —
-// the zero-time sentinel. Unguarded, the collision decodes as the zero
-// time AND desynchronizes the delta chain (the encoder advances its
-// prev, the decoder does not), corrupting every later timestamp in the
-// batch; the encoder nudges such an instant 1 ns forward instead.
-// Payload times cannot get here (PayloadFromJSON's timeEncodable range
-// check), so only span times — straight off client clocks — exercise
-// this path.
+// TestSpanTimeSentinelCollision pins that span times straight off an
+// absurd client clock round-trip exactly. The instant here is the one
+// whose delta collided with the zero-time sentinel of the earlier
+// nanosecond delta chain; the time column has no sentinel, so it must
+// come back equal to the input, and the span's end with it.
 func TestSpanTimeSentinelCollision(t *testing.T) {
 	end := t0()
 	items := []Item{{
@@ -28,45 +24,42 @@ func TestSpanTimeSentinelCollision(t *testing.T) {
 		Payload:  Payload{Kind: KindRaw, Raw: []byte(`{}`)},
 		Trace: &trace.Wire{Router: "router-01", Spans: []trace.Span{{
 			Name: "absurd.clock", Status: "ok",
-			// First time in the batch, so its delta against the fresh
-			// chain (prev == 0) is exactly the sentinel.
 			Start: time.Unix(0, math.MinInt64),
 			End:   end,
 		}}},
 	}}
 	got := decodeAll(t, AppendBatch(nil, items))
-	sp := got[0].Trace.Spans[0]
-	if sp.Start.IsZero() {
-		t.Fatal("colliding span start decoded as the zero-time sentinel")
+	sp, in := got[0].Trace.Spans[0], items[0].Trace.Spans[0]
+	if !sp.Start.Equal(in.Start) {
+		t.Fatalf("span start = %v, want %v", sp.Start, in.Start)
 	}
-	if want := time.Unix(0, math.MinInt64+1).UTC(); !sp.Start.Equal(want) {
-		t.Fatalf("span start = %v, want the 1ns-nudged %v", sp.Start, want)
-	}
-	if !sp.End.Equal(end) {
-		t.Fatalf("span end = %v, want %v — delta chain desynchronized", sp.End, end)
+	if !sp.End.Equal(in.End) {
+		t.Fatalf("span end = %v, want %v", sp.End, in.End)
 	}
 }
 
 // TestForgedAttrCountAllocationBounded is the regression for sizing the
-// span-attr slice from the claimed count: count() only guarantees one
-// input byte per claimed element, so an up-front make([]trace.Attr, na)
-// handed a forged count ~32x amplification (a 200k claim allocated
-// ~6.4 MiB before the decode failed). Allocation must track the bytes
-// actually decoded instead.
+// span-attr slice from the claimed count: a count bounded only by one
+// input byte per element handed a forged count ~32x amplification (a
+// 200k claim allocated ~6.4 MiB before the decode failed). The decoder
+// must refuse a claim that the bytes left could not hold at the
+// minimum encoded size of an attr before allocating anything from it.
 func TestForgedAttrCountAllocationBounded(t *testing.T) {
 	const claimed = 200_000
-	buf := []byte(magic)
-	buf = binary.AppendUvarint(buf, 1)                        // item count
-	buf = binary.AppendUvarint(buf, uint64(KindRaw)|1<<3)     // meta: KindRaw + trace bit
-	buf = append(buf, 0, 1, 'x')                              // endpoint ref: literal "x"
-	buf = append(buf, 0)                                      // key: empty string
-	buf = append(buf, 0, 1, 'r')                              // trace router ref: literal "r"
-	buf = binary.AppendUvarint(buf, 1)                        // span count
-	buf = append(buf, 0, 1, 'n')                              // span name ref
-	buf = append(buf, 0, 1, 's')                              // span status ref
-	buf = append(buf, 0, 0)                                   // start, end: zero deltas
-	buf = binary.AppendUvarint(buf, claimed)                  // forged attr count...
-	buf = append(buf, bytes.Repeat([]byte{0x80}, claimed)...) // ..."backed" by bytes that decode as nothing
+	w := codec.Writer{Buf: []byte(magic)}
+	w.Uvarint(1)                               // item count
+	w.Uvarint(uint64(KindRaw) | hasTrace)      // meta: KindRaw + trace bit
+	w.Str("x")                                 // endpoint
+	w.Str("")                                  // key
+	w.Ref("r")                                 // trace router
+	w.Uvarint(1)                               // span count
+	w.Raw([]byte{0, 1, 'n'})                   // span name column
+	w.Raw([]byte{0, 1, 's'})                   // span status column
+	w.Raw([]byte{1, 0})                        // start column: row 0 is the zero time
+	w.Raw([]byte{1, 0})                        // end column: likewise
+	w.Uvarint(claimed)                         // forged attr count...
+	w.Raw(bytes.Repeat([]byte{0x80}, claimed)) // ..."backed" by bytes that decode as nothing
+	buf := w.Buf
 
 	d := new(Decoder)
 	var it Item

@@ -1,5 +1,5 @@
 // Package wire is the compact binary batch encoding for the upload
-// pipeline ("NPB1"). JSON got the platform to correctness; at fleet
+// pipeline ("NPB2"). JSON got the platform to correctness; at fleet
 // scale the collector's ingest path is decode- and alloc-bound, and the
 // paper's own platform shipped compact reports from resource-starved
 // home routers for the same reason. This package encodes the exact
@@ -8,40 +8,29 @@
 // smaller and an order of magnitude cheaper to decode than the JSON
 // envelope.
 //
-// Format (all integers varint-encoded unless noted):
+// Format, in the primitives of package codec:
 //
-//	magic "NPB1"
-//	uvarint item count
+//	magic "NPB2"
+//	count items
 //	per item:
-//	  uvarint meta            — bits 0..2 payload kind, bit 3 "has trace"
-//	  stringRef endpoint      — KindRaw only (typed kinds imply theirs)
-//	  string    key           — idempotency key, verbatim bytes
-//	  trace                   — if bit 3: stringRef router, uvarint span
-//	                            count, then per span stringRef name,
-//	                            stringRef status, time start, time end,
-//	                            uvarint attr count, per attr stringRef
-//	                            key, stringRef value
-//	  payload                 — per-kind row fields (see encode.go)
+//	  uvarint meta       bits 0..2 payload kind, bit 3 "has trace"
+//	  str     endpoint   KindRaw only (typed kinds imply theirs)
+//	  str     key        idempotency key, verbatim bytes
+//	  trace              if bit 3: ref router, count spans, the span
+//	                     block (Refs name, Refs status, Times start,
+//	                     Times end), one uvarint attr count per span,
+//	                     then the attr block of every span's attrs in
+//	                     order (Refs key, Refs value)
+//	  count rows         devices (sightings), wifi, flows, throughput
+//	  payload            the NPS1 block of the item's rows: one row for
+//	                     uptime and capacity; a one-row counts block then
+//	                     the sightings block for devices; blob for KindRaw
 //
-// Strings come in two shapes. A plain `string` is a uvarint length plus
-// raw bytes. A `stringRef` is the inline dictionary: uvarint 0 means "a
-// literal string follows; assign it the next dictionary index", any
-// other value v means dictionary entry v-1. Router IDs, endpoints,
-// domains, protocol names, bands, directions, span names/statuses, and
-// attr keys/values are all dictionary-coded, so a batch carries each
-// distinct string once.
-//
-// Timestamps share one delta chain across the whole batch: each time is
-// the zigzag varint of its UnixNano minus the previous encoded time's
-// (wrapping two's-complement arithmetic, so any in-range instant
-// round-trips exactly). The zero time.Time is the sentinel absolute
-// value math.MinInt64 and does not advance the chain — open trace spans
-// (zero End) survive the trip byte-for-byte. A non-zero instant whose
-// delta would collide with the sentinel (possible only for span times
-// from absurd client clocks; payload times are range-checked) is nudged
-// forward 1 ns instead of desynchronizing the chain. Durations and counters are
-// zigzag varints; floats are 8-byte little-endian IEEE 754; MAC
-// addresses are their 6 raw (already anonymized) bytes.
+// Blocks use package codec's column types, as the row kinds do. An item
+// is self-contained: every dictionary is scoped to one of its columns,
+// and every time.Time round-trips exactly, zero values included, so
+// there is no batch-wide state and no instant the typed encoding cannot
+// carry.
 //
 // Compatibility: the encoding is negotiated, never assumed. Requests
 // carry Content-Type ContentTypeBinary; the collector advertises
@@ -53,18 +42,20 @@ package wire
 
 import (
 	"encoding/json"
-	"time"
 
 	"natpeek/internal/dataset"
 	"natpeek/internal/trace"
 )
 
-// ContentTypeBinary is the negotiated media type for NPB1-encoded batch
-// requests. Anything else on /v1/batch is treated as JSON.
-const ContentTypeBinary = "application/x-natpeek-batch"
+// ContentTypeBinary is the negotiated media type for NPB2-encoded batch
+// requests. Anything else on /v1/batch is treated as JSON. It names the
+// format version, and no earlier media type is a substring of it, so a
+// client that matches an older advertisement with strings.Contains falls
+// back to JSON instead of posting bytes this server cannot read.
+const ContentTypeBinary = "application/x-natpeek-npb2"
 
-// magic starts every NPB1 buffer ("natpeek binary, version 1").
-const magic = "NPB1"
+// magic starts every NPB2 buffer ("natpeek binary, version 2").
+const magic = "NPB2"
 
 // Kind identifies a payload's row schema inside the binary envelope.
 type Kind uint8
@@ -230,67 +221,41 @@ func (p *Payload) JSONBody() ([]byte, error) {
 }
 
 // PayloadFromJSON transcodes one endpoint's JSON body into a typed
-// payload. Anything that does not decode cleanly — an unknown endpoint,
-// a malformed body, or a timestamp outside the safely delta-encodable
-// range — falls back to KindRaw with the body verbatim, so the server's
+// payload. An unknown endpoint or a body that does not decode cleanly
+// falls back to KindRaw with the body verbatim, so the server's
 // accept/reject behaviour is byte-for-byte the JSON path's.
 func PayloadFromJSON(endpoint string, body []byte) Payload {
 	switch KindFor(endpoint) {
 	case KindUptime:
 		var v dataset.UptimeReport
-		if json.Unmarshal(body, &v) == nil && timeEncodable(v.ReportedAt) {
+		if json.Unmarshal(body, &v) == nil {
 			return Payload{Kind: KindUptime, Uptime: v}
 		}
 	case KindCapacity:
 		var v dataset.CapacityMeasure
-		if json.Unmarshal(body, &v) == nil && timeEncodable(v.MeasuredAt) {
+		if json.Unmarshal(body, &v) == nil {
 			return Payload{Kind: KindCapacity, Capacity: v}
 		}
 	case KindDevices:
 		var v Census
-		if json.Unmarshal(body, &v) == nil && timeEncodable(v.Count.At) && timesOK(v.Sightings, func(s dataset.DeviceSighting) time.Time { return s.At }) {
+		if json.Unmarshal(body, &v) == nil {
 			return Payload{Kind: KindDevices, Count: v.Count, Sightings: v.Sightings}
 		}
 	case KindWiFi:
 		var v []dataset.WiFiScan
-		if json.Unmarshal(body, &v) == nil && timesOK(v, func(s dataset.WiFiScan) time.Time { return s.At }) {
+		if json.Unmarshal(body, &v) == nil {
 			return Payload{Kind: KindWiFi, WiFi: v}
 		}
 	case KindFlows:
 		var v []dataset.FlowRecord
-		if json.Unmarshal(body, &v) == nil &&
-			timesOK(v, func(f dataset.FlowRecord) time.Time { return f.First }) &&
-			timesOK(v, func(f dataset.FlowRecord) time.Time { return f.Last }) {
+		if json.Unmarshal(body, &v) == nil {
 			return Payload{Kind: KindFlows, Flows: v}
 		}
 	case KindThroughput:
 		var v []dataset.ThroughputSample
-		if json.Unmarshal(body, &v) == nil && timesOK(v, func(s dataset.ThroughputSample) time.Time { return s.Minute }) {
+		if json.Unmarshal(body, &v) == nil {
 			return Payload{Kind: KindThroughput, Throughput: v}
 		}
 	}
 	return Payload{Kind: KindRaw, Raw: body}
-}
-
-// timeEncodable bounds the timestamps the typed encoding accepts. The
-// delta chain round-trips any pair of instants whose UnixNano values
-// exist and whose difference is not exactly the zero-time sentinel;
-// confining typed rows to two centuries around the epoch (the study is
-// 2012–2013, live clocks are "now") makes both impossible, and anything
-// weirder ships as KindRaw JSON instead.
-func timeEncodable(t time.Time) bool {
-	if t.IsZero() {
-		return true
-	}
-	y := t.Year()
-	return y >= 1900 && y <= 2100
-}
-
-func timesOK[T any](rows []T, at func(T) time.Time) bool {
-	for _, r := range rows {
-		if !timeEncodable(at(r)) {
-			return false
-		}
-	}
-	return true
 }

@@ -187,8 +187,8 @@ func TestRoundTripZeroAndOpenSpanTimes(t *testing.T) {
 		t.Fatalf("zero times did not survive: %+v", sp)
 	}
 	if !sp[2].Start.Equal(at.Add(time.Second)) || !sp[2].End.Equal(at.Add(2*time.Second)) {
-		// the zero sentinel must not have advanced the delta chain
-		t.Fatalf("delta chain corrupted after zero-time sentinel: %+v", sp[2])
+		// zero rows must not shift the seconds deltas of the rows after them
+		t.Fatalf("times corrupted after zero-time rows: %+v", sp[2])
 	}
 	if !sp[0].Start.Equal(at) {
 		t.Fatalf("span start: %v != %v", sp[0].Start, at)
@@ -250,8 +250,8 @@ func TestHostileInputs(t *testing.T) {
 		"empty":          {},
 		"short magic":    []byte("NP"),
 		"wrong magic":    []byte("JSON[]"),
-		"header only":    []byte("NPB1"),
-		"count too big":  append([]byte("NPB1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"header only":    []byte(magic),
+		"count too big":  append([]byte(magic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
 		"truncated item": good[:len(good)/2],
 		"truncated tail": good[:len(good)-1],
 	}
@@ -271,7 +271,7 @@ func TestHostileInputs(t *testing.T) {
 }
 
 func TestDecoderReuseAcrossBatches(t *testing.T) {
-	// A pooled decoder must not leak dictionary or delta state between
+	// A pooled decoder must not leak dictionary or scratch state between
 	// batches: decode A, then B, and B must match a fresh decode.
 	a := AppendBatch(nil, sampleItems())
 	itemsB := []Item{{Endpoint: "/v1/wifi", Key: "b", Payload: Payload{Kind: KindWiFi,
@@ -322,25 +322,50 @@ func TestPayloadFromJSONTyped(t *testing.T) {
 	}
 }
 
+// TestPayloadFromJSONFallsBackToRaw pins which bodies ride as KindRaw:
+// only those the typed encoding has no schema for or that do not decode.
+// Times far outside the study's years are typed like any other, and
+// their rows equal the JSON decode exactly.
 func TestPayloadFromJSONFallsBackToRaw(t *testing.T) {
 	cases := map[string]struct {
 		endpoint string
 		body     string
+		want     Kind
 	}{
-		"unknown endpoint": {"/v1/register", `{"RouterID":"r"}`},
-		"malformed body":   {"/v1/uptime", `{"RouterID":`},
-		"wrong shape":      {"/v1/wifi", `{"not":"an array"}`},
-		"far-future time":  {"/v1/uptime", `{"RouterID":"r","ReportedAt":"9999-01-01T00:00:00Z"}`},
-		"ancient time":     {"/v1/capacity", `{"RouterID":"r","MeasuredAt":"0001-01-01T00:00:00.000000001Z"}`},
+		"unknown endpoint": {"/v1/register", `{"RouterID":"r"}`, KindRaw},
+		"malformed body":   {"/v1/uptime", `{"RouterID":`, KindRaw},
+		"wrong shape":      {"/v1/wifi", `{"not":"an array"}`, KindRaw},
+		"far-future time":  {"/v1/uptime", `{"RouterID":"r","ReportedAt":"9999-01-01T00:00:00Z"}`, KindUptime},
+		"ancient time":     {"/v1/capacity", `{"RouterID":"r","MeasuredAt":"0001-01-01T00:00:00.000000001Z"}`, KindCapacity},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			p := PayloadFromJSON(tc.endpoint, []byte(tc.body))
-			if p.Kind != KindRaw {
-				t.Fatalf("kind = %v, want KindRaw", p.Kind)
+			if p.Kind != tc.want {
+				t.Fatalf("kind = %v, want %v", p.Kind, tc.want)
 			}
-			if string(p.Raw) != tc.body {
-				t.Fatalf("raw body not verbatim: %q", p.Raw)
+			if p.Kind == KindRaw {
+				if string(p.Raw) != tc.body {
+					t.Fatalf("raw body not verbatim: %q", p.Raw)
+				}
+				return
+			}
+			got := decodeAll(t, AppendBatch(nil, []Item{{Endpoint: tc.endpoint, Payload: p}}))
+			gotP := got[0].Payload
+			var want, gotRow any
+			switch p.Kind {
+			case KindUptime:
+				var v dataset.UptimeReport
+				want, gotRow = &v, &gotP.Uptime
+			case KindCapacity:
+				var v dataset.CapacityMeasure
+				want, gotRow = &v, &gotP.Capacity
+			}
+			if err := json.Unmarshal([]byte(tc.body), want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotRow, want) {
+				t.Fatalf("decoded row %+v != JSON decode %+v", gotRow, want)
 			}
 		})
 	}
