@@ -127,7 +127,8 @@ check-load:
 # The cluster gate, under the race detector:
 #   1. the multi-node suite — consistent-hash routing spread, retry
 #      dedupe through the front, JSON/direct endpoint proxying,
-#      journal-replay failover, and rejoin manifest seeding;
+#      journal-replay failover (also into a node reborn before anyone
+#      judged it dead), and first-write key seeding on rejoin;
 #   2. the chaos soak — a 3-node cluster under a live loadgen fleet
 #      with one node killed mid-run and rejoined, gated on zero lost
 #      and zero duplicated rows;
@@ -149,15 +150,15 @@ check-cluster:
 #   4. the scale-event suite — mid-run join and drain with ownership
 #      accounting, epoch fencing (whole-batch 429 + Retry-After during
 #      cutover), two-front convergence, and the scale-out/drain chaos
-#      soaks under live loadgen (short profile), gated on zero lost and
-#      zero duplicated rows;
+#      soaks under live loadgen (short profile) on in-memory and on
+#      segment-backed nodes, gated on zero lost and zero duplicated rows;
 #   5. the rebalance goldens — a join and a drain fired mid-run through
 #      the full verify deployment, merged snapshots byte-identical to
 #      the single-node golden (JSON-wire variants run in full mode via
 #      check-verify).
 check-rebalance:
 	$(GO) test -race -run 'TestRingRelocationProperty|TestRingReplicaSetStability|TestMembership' ./internal/cluster/
-	$(GO) test -race -run 'TestKeyRouter|TestExtract|TestScanRouters|TestSplitRouters' ./internal/dataset/ ./internal/segment/
+	$(GO) test -race -run 'TestKeyRouter|TestExtract|TestSplitRouters' ./internal/dataset/ ./internal/segment/
 	$(GO) test -race -short -run 'TestClusterScaleOutTransfersOwnership|TestClusterDrainViaFrontEndpoint|TestFrontFencesDuringCutover|TestTwoFrontsConvergeOnEpoch|TestChaosSoakScaleOut|TestChaosSoakDrain' ./internal/cluster/
 	$(GO) test -race -short -run 'TestClusterGoldenJoinMidRun|TestClusterGoldenDrainMidRun' ./internal/verify/
 

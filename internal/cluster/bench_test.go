@@ -171,8 +171,8 @@ func BenchmarkHandoffReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Applied != items {
-			b.Fatalf("replay applied %d of %d", res.Applied, items)
+		if res.applied != items {
+			b.Fatalf("replay applied %d of %d", res.applied, items)
 		}
 	}
 	b.StopTimer()

@@ -68,12 +68,7 @@ func TestChaosSoakKillRejoin(t *testing.T) {
 	// same ring identity with fresh ephemeral addresses — the classic
 	// replace-the-box operation.
 	tc.waitAliveNodes(2)
-	reborn, err := NewNode(NodeConfig{
-		ID:      victim.ID(),
-		UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",
-		Peers:  []string{tc.nodes[0].CtrlAddr(), tc.nodes[2].CtrlAddr()},
-		Gossip: fastGossip,
-	})
+	reborn, err := NewNode(tc.nodeConfig(victim.ID(), []string{tc.nodes[0].CtrlAddr(), tc.nodes[2].CtrlAddr()}))
 	if err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"natpeek/internal/collector"
 	"natpeek/internal/dataset"
+	"natpeek/internal/segment"
 	"natpeek/internal/wire"
 )
 
@@ -24,23 +25,61 @@ var fastGossip = GossipConfig{
 }
 
 type testCluster struct {
-	t     *testing.T
-	nodes []*Node
-	front *Front
+	t      *testing.T
+	nodes  []*Node
+	front  *Front
+	gossip GossipConfig
+	// newStore, when set, builds each node's store (by node ID);
+	// otherwise nodes ingest into fresh in-memory stores.
+	newStore func(id string) dataset.IngestStore
+}
+
+// withGossip runs the cluster's nodes and front on gc instead of
+// fastGossip.
+func withGossip(gc GossipConfig) func(*testCluster) {
+	return func(tc *testCluster) { tc.gossip = gc }
+}
+
+// withSegmentStores backs every node, joiners included, with its own
+// durable segment store in a test temp dir. flushRows is small enough
+// that sealed segments exist before anything moves.
+func withSegmentStores(flushRows int) func(*testCluster) {
+	return func(tc *testCluster) {
+		tc.newStore = func(id string) dataset.IngestStore {
+			s, err := segment.Open(segment.Options{Dir: tc.t.TempDir(), FlushRows: flushRows})
+			if err != nil {
+				tc.t.Fatalf("segment store for %s: %v", id, err)
+			}
+			tc.t.Cleanup(func() { s.Close() })
+			return s
+		}
+	}
+}
+
+// nodeConfig is the loopback config of one test node.
+func (tc *testCluster) nodeConfig(id string, peers []string) NodeConfig {
+	cfg := NodeConfig{
+		ID:      id,
+		UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",
+		Peers: append([]string(nil), peers...), Gossip: tc.gossip,
+	}
+	if tc.newStore != nil {
+		cfg.Store = tc.newStore(id)
+	}
+	return cfg
 }
 
 // startTestCluster brings up n nodes plus one front on loopback and
 // waits for the membership to converge everywhere.
-func startTestCluster(t *testing.T, n, replication int) *testCluster {
+func startTestCluster(t *testing.T, n, replication int, opts ...func(*testCluster)) *testCluster {
 	t.Helper()
-	tc := &testCluster{t: t}
+	tc := &testCluster{t: t, gossip: fastGossip}
+	for _, opt := range opts {
+		opt(tc)
+	}
 	var peers []string
 	for i := 0; i < n; i++ {
-		nd, err := NewNode(NodeConfig{
-			ID:      fmt.Sprintf("node-%d", i),
-			UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",
-			Peers: append([]string(nil), peers...), Gossip: fastGossip,
-		})
+		nd, err := NewNode(tc.nodeConfig(fmt.Sprintf("node-%d", i), peers))
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -50,7 +89,7 @@ func startTestCluster(t *testing.T, n, replication int) *testCluster {
 	front, err := NewFront(FrontConfig{
 		ID:      "front-0",
 		UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",
-		Peers: peers, Replication: replication, Gossip: fastGossip,
+		Peers: peers, Replication: replication, Gossip: tc.gossip,
 	})
 	if err != nil {
 		t.Fatalf("front: %v", err)
@@ -325,10 +364,55 @@ func TestClusterFailoverReplaysJournal(t *testing.T) {
 	}
 }
 
+// TestClusterFastRebirthReplaysJournal: a node killed and restarted
+// under the same ID before any peer judges it dead comes back empty, so
+// the frames its successor journaled for it must replay into the new
+// incarnation. The replay lands through the reborn node's first-write
+// gate, whose key pull reaches the successor before that successor may
+// have gossiped with the new incarnation; judged by the successor's own
+// view, the owner would still "hold" the frame, its keys would be
+// served, and the replay would flatten to duplicates. The pull carries
+// the requester's own member record so the donor judges its frames by
+// the incarnation that is asking.
+func TestClusterFastRebirthReplaysJournal(t *testing.T) {
+	tc := startTestCluster(t, 2, 2, withGossip(GossipConfig{
+		Interval:     20 * time.Millisecond,
+		SuspectAfter: 150 * time.Millisecond,
+		DeadAfter:    30 * time.Second, // nobody judges the victim dead
+	}))
+	var items []wire.Item
+	const routers = 24
+	for i := 0; i < routers; i++ {
+		items = append(items, uptimeItem(fmt.Sprintf("rt-reb-%03d", i), i))
+	}
+	postBatch(t, frontURL(tc), items)
+
+	victim := tc.nodes[1]
+	if len(victim.Store().Uptime) == 0 {
+		t.Fatal("victim owned no rows; test cannot exercise the rebirth")
+	}
+	if err := victim.Kill(); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	reborn, err := NewNode(tc.nodeConfig(victim.ID(), []string{tc.nodes[0].CtrlAddr()}))
+	if err != nil {
+		t.Fatalf("rebirth: %v", err)
+	}
+	tc.nodes[1] = reborn // cleanup closes the reborn node; the victim is already dead
+
+	waitFor(t, 5*time.Second, "the two stores to hold every row", func() bool {
+		return totalRows(tc) == routers
+	})
+	time.Sleep(5 * tc.gossip.Interval)
+	if got := totalRows(tc); got != routers {
+		t.Fatalf("cluster holds %d rows after settling, want %d", got, routers)
+	}
+}
+
 // TestClusterRejoinManifestSeedsDedupe pins the rejoin protocol: a
-// node that comes back empty pulls key manifests before taking writes,
-// so a retry of a write acked during its absence dedupes instead of
-// double-applying.
+// node that joins empty pulls each router's keys from its peers through
+// the first-write gate, before that router's first apply, so a retry of
+// a write acked elsewhere dedupes instead of double-applying.
 func TestClusterRejoinManifestSeedsDedupe(t *testing.T) {
 	nodeA, err := NewNode(NodeConfig{ID: "node-a",
 		UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",

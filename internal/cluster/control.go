@@ -8,7 +8,7 @@ import (
 
 // The control plane speaks a small binary protocol ("NPC1") over plain
 // HTTP POSTs between peers: membership gossip, the key manifests a
-// rejoining node pulls to rebuild its dedupe index, and the replicate
+// node pulls before a router's first write, and the replicate
 // frames the front fans out to a write's successor nodes. A message is
 // the magic, one kind byte, then the kind's fields in the primitives of
 // package codec (str, uvarint, count-prefixed lists, 0/1 flag bytes),
@@ -119,13 +119,12 @@ type Gossip struct {
 	Next *RingEpoch
 }
 
-// ManifestRequest asks a peer for applied idempotency keys. With
-// Routers empty it is the join-time bulk pull: keys the peer applied
-// for every router the joiner would own under the prospective
-// membership. With Routers set it is a targeted query — keys for
-// exactly those routers, regardless of ring ownership — used by the
-// first-write gate to catch writes applied elsewhere during an
-// ownership change.
+// ManifestRequest is the first-write gate's key pull: it asks a peer
+// for the idempotency keys it holds for exactly Routers, regardless of
+// ring ownership, to catch writes applied elsewhere during an ownership
+// change or a previous life. Joiner is the requester's ID and Members
+// carries its own member record, whose incarnation the peer judges the
+// requester's journaled frames by.
 type ManifestRequest struct {
 	Joiner  string
 	Members []Member

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -57,7 +56,7 @@ type NodeConfig struct {
 // untouched semantics — admission control, dedupe, tracing) plus the
 // control plane that makes it a cluster: gossip membership, a
 // replication journal for batches it is a successor for, key manifests
-// for rejoining peers, and failover replay when an owner dies.
+// for peers' first-write gates, and failover replay when an owner dies.
 type Node struct {
 	cfg NodeConfig
 	srv *collector.Server
@@ -71,13 +70,13 @@ type Node struct {
 	mu sync.Mutex
 	// journal holds replicate frames this node accepted as a successor:
 	// raw NPB2 batch bytes plus the placement that chose this node. On
-	// an owner's death the first live successor replays the bytes into
-	// its own collector; idempotency keys make replays converge.
+	// an owner's death the first live successor hands the frame's items
+	// to their current owners; idempotency keys make replays converge.
 	journal     []*journalEntry
 	journalSeen map[uint64]bool
-	// ownerKeys indexes every idempotency key this node applied, per
-	// router — the source for the manifests a rejoining node seeds its
-	// dedupe index from.
+	// ownerKeys indexes every idempotency key this node applied (or was
+	// handed with moved rows), per router — the source for the manifests
+	// a peer's first-write gate seeds its dedupe index from.
 	ownerKeys map[string]map[string]bool
 	// Journaled frames' keys are indexed per entry (journalEntry.keys):
 	// manifests serve a frame's keys only while its owner still holds
@@ -139,7 +138,9 @@ type journalEntry struct {
 
 // ownerHoldsRows reports whether the frame's rows are still believed to
 // live at the journaled owner: the owner is not judged dead and has not
-// been reborn under a new incarnation. Mirrors the replayScan verdict.
+// been reborn under a new incarnation. It is the one "owner lost"
+// verdict: replayScan replays a frame when it is false, and manifests
+// withhold the keys of an unreplayed frame when it is false.
 func (e *journalEntry) ownerHoldsRows(state map[string]State, incs map[string]uint64) bool {
 	st, known := state[e.owner]
 	if known && st == StateDead {
@@ -151,12 +152,29 @@ func (e *journalEntry) ownerHoldsRows(state map[string]State, incs map[string]ui
 	return true
 }
 
+// judge returns every member's locally judged state and incarnation,
+// the inputs of ownerHoldsRows. A record in self overrides the local
+// incarnation: a requester knows which life it is in before gossip has
+// told this node, and its frames from a previous life must be judged
+// lost even while the local view still shows the old incarnation.
+func (n *Node) judge(self []Member) (map[string]State, map[string]uint64) {
+	state := make(map[string]State)
+	incs := make(map[string]uint64)
+	for _, mv := range n.ms.view() {
+		state[mv.ID] = mv.State
+		incs[mv.ID] = mv.Incarnation
+	}
+	for _, m := range self {
+		incs[m.ID] = m.Incarnation
+	}
+	return state, incs
+}
+
 // NewNode starts a cluster node: collector listeners, control-plane
-// listener, a learn-only join against the seed peers, the key-manifest
-// pull that seeds its dedupe index (so retries of writes applied during
-// a previous life or a dead window are recognized as duplicates), and
-// the gossip loop. The node is invisible to peers until the manifests
-// are seeded — it never takes a write it could mistake for new.
+// listener, a learn-only exchange with the seed peers (without
+// revealing itself), and the gossip loop. The node takes no keyed write
+// it could mistake for new: the first-write gate (gateRouter) pulls each
+// router's keys from the live peers before that router's first apply.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: node needs an ID")
@@ -226,7 +244,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.ctrl = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go n.ctrl.Serve(ln)
 
-	n.join()
+	n.gsp.learn()
 	n.wg.Add(1)
 	go n.gossipLoop()
 	n.log.Debug("node up", "data", n.DataAddr(), "ctrl", n.CtrlAddr())
@@ -314,26 +332,35 @@ func (n *Node) observeIngest(_, key, router string, applied bool) {
 		return
 	}
 	n.mu.Lock()
+	n.rememberKeysLocked(router, key)
+	n.mu.Unlock()
+}
+
+// rememberKeysLocked adds keys to ownerKeys. Caller holds n.mu.
+func (n *Node) rememberKeysLocked(router string, keys ...string) {
 	ks := n.ownerKeys[router]
 	if ks == nil {
 		ks = make(map[string]bool)
 		n.ownerKeys[router] = ks
 	}
-	ks[key] = true
-	n.mu.Unlock()
+	for _, k := range keys {
+		ks[k] = true
+	}
 }
 
 // gateRouter runs before every keyed apply (the collector's ingest
 // gate) and blocks a router's first keyed write since process start
-// until this node has pulled the router's applied keys from its live
-// peers. This closes the duplicate window the join-time bulk pull
-// cannot: a batch partially applied at an interim owner while this
-// node's ownership was in flux, then retried here after routing
-// flipped. The interim apply necessarily precedes the routing flip,
-// which precedes the first write arriving here — so a pull at first
-// write always observes it. Later writes for the router pass straight
-// through; the whole check costs one targeted manifest RPC per router
-// per process lifetime.
+// until this node has pulled the router's keys from its live peers. It
+// is the node's only key pull, and every write passes it — client
+// uploads, failover replays and transfer chunks alike, since all of
+// them enter through the data plane. So a node that restarted empty
+// recognizes retries of writes acked in its previous life, and a batch
+// partially applied at an interim owner while ownership was in flux,
+// then retried here after routing flipped, dedupes: the interim apply
+// precedes the routing flip, which precedes the first write arriving
+// here. Later writes for the router pass straight through; the whole
+// check costs one targeted manifest RPC per router per process
+// lifetime.
 func (n *Node) gateRouter(router string) {
 	n.mu.Lock()
 	done, ok := n.routerGate[router]
@@ -350,79 +377,40 @@ func (n *Node) gateRouter(router string) {
 }
 
 // seedRouterKeys pulls one router's applied-or-journaled keys from
-// every live peer node and seeds the local dedupe index. Best effort
-// per peer: a peer that cannot answer is skipped (its copy of an acked
-// write is also in a journal, and an unacked write will be retried by
-// the client either way).
+// every live peer node and seeds the local dedupe index. The request
+// carries this node's own member record, so each donor judges this
+// node's journaled frames by the incarnation that is asking (see
+// judge). Best effort per peer: a peer that cannot answer is skipped
+// (its copy of an acked write is also in a journal, and an unacked
+// write will be retried by the client either way).
 func (n *Node) seedRouterKeys(router string) {
-	var donors []Member
+	self, _ := n.ms.lookup(n.cfg.ID)
 	for _, mv := range n.ms.view() {
-		if mv.Role == RoleNode && mv.State != StateDead && mv.ID != n.cfg.ID {
-			donors = append(donors, mv.Member)
-		}
-	}
-	store := n.srv.Sharded()
-	for _, donor := range donors {
-		m, err := postCtrl(n.httpc, donor.CtrlAddr, "/cluster/manifest", &Message{
-			Kind:        MsgManifestRequest,
-			ManifestReq: &ManifestRequest{Joiner: n.cfg.ID, Routers: []string{router}},
-		}, 5*time.Second)
-		if err != nil || m.Kind != MsgManifestResponse {
-			n.log.Warn("first-write key pull failed", "router", router, "peer", donor.ID, "err", err)
+		if mv.Role != RoleNode || mv.State == StateDead || mv.ID == n.cfg.ID {
 			continue
 		}
-		for _, en := range m.ManifestResp.Entries {
-			for _, k := range en.Keys {
-				store.Apply(en.Router, k, func(*dataset.Store) {})
-			}
+		m, err := postCtrl(n.httpc, mv.CtrlAddr, "/cluster/manifest", &Message{
+			Kind: MsgManifestRequest,
+			ManifestReq: &ManifestRequest{Joiner: n.cfg.ID, Members: []Member{self},
+				Routers: []string{router}},
+		}, 5*time.Second)
+		if err != nil || m.Kind != MsgManifestResponse {
+			n.log.Warn("first-write key pull failed", "router", router, "peer", mv.ID, "err", err)
+			continue
 		}
+		n.seedKeys(m.ManifestResp.Entries)
 	}
 }
 
-// join runs the three-step entry protocol: learn the membership from
-// seed peers (without revealing ourselves), pull applied-key manifests
-// for every router we would own, and seed the dedupe index. Peers that
-// are down are skipped — a manifest is a dedupe optimization against
-// ack-lost retries, and the writes themselves are safe either way.
-func (n *Node) join() {
-	n.gsp.learn()
-
-	// Prospective membership: everyone alive now, plus us.
-	var prospective []Member
-	var donors []Member
-	for _, mv := range n.ms.view() {
-		if mv.State == StateDead || mv.ID == n.cfg.ID {
-			continue
+// seedKeys marks keys applied in the local dedupe index without adding
+// rows (a no-op apply). Both ways keys reach a node use it: the
+// first-write pull and a transfer's key push.
+func (n *Node) seedKeys(entries []ManifestEntry) {
+	store := n.srv.Sharded()
+	for _, en := range entries {
+		for _, k := range en.Keys {
+			store.Apply(en.Router, k, func(*dataset.Store) {})
 		}
-		if mv.Role == RoleNode {
-			prospective = append(prospective, mv.Member)
-			donors = append(donors, mv.Member)
-		}
-	}
-	self, _ := n.ms.lookup(n.cfg.ID)
-	prospective = append(prospective, self)
-
-	seeded := 0
-	for _, donor := range donors {
-		m, err := postCtrl(n.httpc, donor.CtrlAddr, "/cluster/manifest", &Message{
-			Kind:        MsgManifestRequest,
-			ManifestReq: &ManifestRequest{Joiner: n.cfg.ID, Members: prospective},
-		}, 30*time.Second)
-		if err != nil || m.Kind != MsgManifestResponse {
-			n.log.Warn("join: manifest pull failed", "peer", donor.ID, "err", err)
-			continue
-		}
-		store := n.srv.Sharded()
-		for _, en := range m.ManifestResp.Entries {
-			for _, k := range en.Keys {
-				// A no-op apply marks the key applied without adding rows.
-				store.Apply(en.Router, k, func(*dataset.Store) {})
-				seeded++
-			}
-		}
-	}
-	if seeded > 0 {
-		n.log.Info("join: seeded dedupe index", "keys", seeded)
 	}
 }
 
@@ -447,33 +435,21 @@ func (n *Node) gossipLoop() {
 // replayScan finds journaled frames whose owner lost its store — it is
 // judged dead, or it came back under a new incarnation (a restart wipes
 // the in-memory store, so "alive again" does not mean the rows are) —
-// and, when this node is the frame's first live successor, replays the
-// raw NPB2 bytes into its own collector as a /v1/batch POST. The scan
-// runs every tick, so a replay that fails (or an owner that dies later)
-// is retried until it lands; idempotency keys make every retry converge
-// to exactly-once rows. Frames journaled before the owner was known
-// (ownerInc 0) only replay on death, never on an incarnation change —
-// a spurious rebirth replay of rows the owner still holds would
-// double-count them cluster-wide.
+// and, when this node is the frame's first live successor, hands the
+// frame's items to their current owners (handoff). The scan runs every
+// tick and each due frame gets one handoff attempt per tick, so a
+// replay that fails (or an owner that dies later) is retried until it
+// lands without ever blocking the gossip loop; idempotency keys make
+// every retry converge to exactly-once rows. Frames journaled before the
+// owner was known (ownerInc 0) only replay on death, never on an
+// incarnation change — a spurious rebirth replay of rows the owner still
+// holds would double-count them cluster-wide.
 func (n *Node) replayScan() {
-	state := make(map[string]State)
-	incs := make(map[string]uint64)
-	for _, mv := range n.ms.view() {
-		state[mv.ID] = mv.State
-		incs[mv.ID] = mv.Incarnation
-	}
+	state, incs := n.judge(nil)
 	n.mu.Lock()
 	var due []*journalEntry
 	for _, e := range n.journal {
-		if e.replayed {
-			continue
-		}
-		st, known := state[e.owner]
-		ownerLost := known && st == StateDead
-		if !ownerLost && e.ownerInc != 0 && known && incs[e.owner] != e.ownerInc {
-			ownerLost = true
-		}
-		if !ownerLost {
+		if e.replayed || e.ownerHoldsRows(state, incs) {
 			continue
 		}
 		// First successor still standing inherits the frame. A
@@ -507,85 +483,25 @@ func (n *Node) replayScan() {
 		e.replayed = true
 		n.mu.Unlock()
 		n.mReplayed.Inc()
-		n.mReplayRows.Add(int64(res.Applied))
+		n.mReplayRows.Add(int64(res.applied))
 		n.log.Info("replayed orphaned frame", "owner", e.owner, "items", e.items,
-			"applied", res.Applied, "duplicates", res.Duplicates)
+			"applied", res.applied, "duplicates", res.duplicates)
 	}
 }
 
-// replay routes a journaled frame's items into the data plane of each
-// item's CURRENT ring owner — the handoff IS a normal binary batch
-// upload, so admission control, dedupe, tracing, and telemetry all
-// apply unchanged. Routing at replay time (rather than blindly into
-// this node) matters once the ring can change shape: after a drain
-// moved a dead owner's routers, their history — and crucially their
-// dedupe keys — lives at the new owner, and a replay applied anywhere
-// else would re-create rows the cluster already acknowledged. Items
-// whose owner is unknown, or an empty ring, fall back to this node's
-// own data plane, which reproduces the pre-rebalance behavior exactly.
-func (n *Node) replay(e *journalEntry) (collector.BatchResult, error) {
-	var total collector.BatchResult
-	groups := map[string][]byte{}
+// replay hands a journaled frame's items to their owners under the
+// CURRENT ring, in one attempt. Routing at replay time matters once the
+// ring can change shape: after a drain moved a dead owner's routers,
+// their history and dedupe keys live at the new owner, and a replay
+// applied anywhere else would re-create rows the cluster already
+// acknowledged. The items carry their client keys, so no key set
+// travels with them.
+func (n *Node) replay(e *journalEntry) (handoffResult, error) {
 	items, err := decodeBatchItems(wire.ContentTypeBinary, e.batch)
 	if err != nil {
-		return total, err
+		return handoffResult{}, err
 	}
-	if ring := n.ms.ring(); ring.Len() > 0 {
-		byAddr := make(map[string][]wire.Item)
-		for _, it := range items {
-			addr := n.DataAddr()
-			if owner := ring.Owner(routerOfItem(&it)); owner != "" && owner != n.cfg.ID {
-				if mem, ok := n.ms.lookup(owner); ok && mem.DataAddr != "" {
-					addr = mem.DataAddr
-				}
-			}
-			byAddr[addr] = append(byAddr[addr], it)
-		}
-		for addr, its := range byAddr {
-			groups[addr] = wire.AppendBatch(nil, its)
-		}
-	} else {
-		groups[n.DataAddr()] = e.batch
-	}
-	for addr, batch := range groups {
-		res, err := postBatchBinary(n.httpc, addr, batch)
-		if err != nil {
-			return total, err
-		}
-		total.Applied += res.Applied
-		total.Duplicates += res.Duplicates
-		total.Rejected += res.Rejected
-		total.Failed = append(total.Failed, res.Failed...)
-	}
-	return total, nil
-}
-
-// postBatchBinary POSTs one NPB2 batch to a data plane and decodes the
-// BatchResult. Shared by failover replay and the transfer engine.
-func postBatchBinary(httpc *http.Client, dataAddr string, batch []byte) (collector.BatchResult, error) {
-	var res collector.BatchResult
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+dataAddr+"/v1/batch", bytes.NewReader(batch))
-	if err != nil {
-		return res, err
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeBinary)
-	resp, err := httpc.Do(req)
-	if err != nil {
-		return res, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return res, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return res, fmt.Errorf("batch post: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	err = json.Unmarshal(body, &res)
-	return res, err
+	return n.handoff(context.Background(), n.ms.ring(), nil, items)
 }
 
 func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
@@ -650,92 +566,45 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleManifest answers a first-write key pull: for each requested
+// router, the union of keys this node applied and keys inside frames it
+// journaled. A journaled key was acked by an owner whose store may
+// since have died, and serving both lets a reborn owner dedupe a client
+// retry even when it races the replay. One carve-out: a frame whose
+// owner is LOST and whose replay has not happened yet is withheld — its
+// rows exist nowhere right now, and seeding its keys into the node the
+// replay will route to would make that replay flatten to duplicates and
+// lose the rows for good. The requester's own frames are judged by the
+// incarnation in its request, not by this node's possibly stale view.
 func (n *Node) handleManifest(w http.ResponseWriter, r *http.Request) {
 	m, ok := n.readCtrl(w, r, MsgManifestRequest)
 	if !ok {
 		return
 	}
 	req := m.ManifestReq
+	state, incs := n.judge(req.Members)
 	resp := &ManifestResponse{From: n.cfg.ID}
-	state := make(map[string]State)
-	incs := make(map[string]uint64)
-	for _, mv := range n.ms.view() {
-		state[mv.ID] = mv.State
-		incs[mv.ID] = mv.Incarnation
-	}
 	n.mu.Lock()
-	// A manifest entry is the union of keys this node applied and keys
-	// inside frames it journaled: a journaled key was acked by an owner
-	// whose store may since have died, and serving both lets a reborn
-	// owner dedupe a client retry even when it races the replay. One
-	// carve-out: a frame whose owner is LOST and whose replay has not
-	// happened yet is withheld — its rows exist nowhere right now, and
-	// seeding its keys into the node the replay will route to would make
-	// that replay flatten to duplicates and lose the rows for good.
-	journaled := make(map[string]map[string]bool)
-	for _, e := range n.journal {
-		if !e.replayed && !e.ownerHoldsRows(state, incs) {
+	for _, router := range req.Routers {
+		union := make(map[string]bool, len(n.ownerKeys[router]))
+		for k := range n.ownerKeys[router] {
+			union[k] = true
+		}
+		for _, e := range n.journal {
+			if e.replayed || e.ownerHoldsRows(state, incs) {
+				for _, k := range e.keys[router] {
+					union[k] = true
+				}
+			}
+		}
+		if len(union) == 0 {
 			continue
 		}
-		for router, keys := range e.keys {
-			idx := journaled[router]
-			if idx == nil {
-				idx = make(map[string]bool)
-				journaled[router] = idx
-			}
-			for _, k := range keys {
-				idx[k] = true
-			}
+		en := ManifestEntry{Router: router, Keys: make([]string, 0, len(union))}
+		for k := range union {
+			en.Keys = append(en.Keys, k)
 		}
-	}
-	keyUnion := func(router string) []string {
-		applied, jkeys := n.ownerKeys[router], journaled[router]
-		if len(applied) == 0 && len(jkeys) == 0 {
-			return nil
-		}
-		out := make([]string, 0, len(applied)+len(jkeys))
-		for k := range applied {
-			out = append(out, k)
-		}
-		for k := range jkeys {
-			if !applied[k] {
-				out = append(out, k)
-			}
-		}
-		return out
-	}
-	if len(req.Routers) > 0 {
-		// Targeted query: exactly these routers, ownership ignored.
-		for _, router := range req.Routers {
-			if keys := keyUnion(router); len(keys) > 0 {
-				resp.Entries = append(resp.Entries, ManifestEntry{Router: router, Keys: keys})
-			}
-		}
-	} else {
-		// Join-time bulk pull: every router the joiner would own under
-		// the prospective membership.
-		var ids []string
-		for _, mem := range req.Members {
-			if mem.Role == RoleNode {
-				ids = append(ids, mem.ID)
-			}
-		}
-		ring := NewRing(ids, DefaultVnodes)
-		routers := make(map[string]bool, len(n.ownerKeys)+len(journaled))
-		for router := range n.ownerKeys {
-			routers[router] = true
-		}
-		for router := range journaled {
-			routers[router] = true
-		}
-		for router := range routers {
-			if ring.Owner(router) != req.Joiner {
-				continue
-			}
-			if keys := keyUnion(router); len(keys) > 0 {
-				resp.Entries = append(resp.Entries, ManifestEntry{Router: router, Keys: keys})
-			}
-		}
+		resp.Entries = append(resp.Entries, en)
 	}
 	n.mu.Unlock()
 	n.writeCtrl(w, &Message{Kind: MsgManifestResponse, ManifestResp: resp})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"natpeek/internal/loadgen"
+	"natpeek/internal/segment"
 	"natpeek/internal/wire"
 )
 
@@ -84,15 +85,15 @@ func addJoiningNode(t *testing.T, tc *testCluster, id string) *Node {
 	for _, nd := range tc.nodes {
 		peers = append(peers, nd.CtrlAddr())
 	}
-	nd, err := NewNode(NodeConfig{
-		ID:      id,
-		UDPAddr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", CtrlAddr: "127.0.0.1:0",
-		Peers: peers, Gossip: fastGossip, Joining: true,
-	})
+	cfg := tc.nodeConfig(id, peers)
+	cfg.Joining = true
+	nd, err := NewNode(cfg)
 	if err != nil {
 		t.Fatalf("joiner: %v", err)
 	}
-	tc.nodes = append(tc.nodes, nd) // the startTestCluster cleanup closes it
+	tc.nodes = append(tc.nodes, nd)
+	// Close before the cleanups registered earlier (its store's) run.
+	t.Cleanup(func() { nd.Close() })
 	return nd
 }
 
@@ -315,17 +316,42 @@ func TestTwoFrontsConvergeOnEpoch(t *testing.T) {
 	})
 }
 
+// soakStores are the stores the rebalance soaks run on: fresh in-memory
+// stores, and durable segment stores that seal every few dozen rows, so
+// the move has to rewrite sealed segments in place (ExtractRouters)
+// while live ingest keeps landing in the memtable.
+var soakStores = []struct {
+	name string
+	opts []func(*testCluster)
+}{
+	{"memory", nil},
+	{"segments", []func(*testCluster){withSegmentStores(32)}},
+}
+
+// hasSealed reports whether nd's store is in memory or already holds a
+// sealed segment — the precondition for a durable soak's move.
+func hasSealed(nd *Node) bool {
+	seg, ok := nd.Collector().Sharded().(*segment.Store)
+	return !ok || len(seg.Segments()) > 0
+}
+
 // TestChaosSoakScaleOut is the scale-out headline proof: a fourth node
 // joins mid-soak, the transfer races live keyed traffic (including 429
 // fencing during the cutover window and client retries straddling the
 // move), and the cluster must still converge to exactly the generated
 // row counts — zero lost, zero duplicated.
 func TestChaosSoakScaleOut(t *testing.T) {
+	for _, sc := range soakStores {
+		t.Run(sc.name, func(t *testing.T) { soakScaleOut(t, sc.opts...) })
+	}
+}
+
+func soakScaleOut(t *testing.T, opts ...func(*testCluster)) {
 	routers, cycles := 48, 10
 	if testing.Short() {
 		routers, cycles = 16, 6
 	}
-	tc := startTestCluster(t, 3, 2)
+	tc := startTestCluster(t, 3, 2, opts...)
 
 	cfg := loadgen.Config{
 		BaseURL:  frontURL(tc),
@@ -351,7 +377,7 @@ func TestChaosSoakScaleOut(t *testing.T) {
 	// Let traffic establish ownership first, then grow the ring under
 	// fire.
 	waitFor(t, 15*time.Second, "cluster to own some rows", func() bool {
-		return totalRows(tc) > 0
+		return totalRows(tc) > 0 && hasSealed(tc.nodes[0]) && hasSealed(tc.nodes[1]) && hasSealed(tc.nodes[2])
 	})
 	joiner := addJoiningNode(t, tc, "node-3")
 	if err := joiner.JoinRing(ctx); err != nil {
@@ -396,11 +422,17 @@ func TestChaosSoakScaleOut(t *testing.T) {
 // the totals must converge exactly — nothing lost in transit, nothing
 // applied twice even though every moved upload's key changed homes.
 func TestChaosSoakDrain(t *testing.T) {
+	for _, sc := range soakStores {
+		t.Run(sc.name, func(t *testing.T) { soakDrain(t, sc.opts...) })
+	}
+}
+
+func soakDrain(t *testing.T, opts ...func(*testCluster)) {
 	routers, cycles := 48, 10
 	if testing.Short() {
 		routers, cycles = 16, 6
 	}
-	tc := startTestCluster(t, 3, 2)
+	tc := startTestCluster(t, 3, 2, opts...)
 
 	cfg := loadgen.Config{
 		BaseURL:  frontURL(tc),
@@ -427,7 +459,7 @@ func TestChaosSoakDrain(t *testing.T) {
 	waitFor(t, 15*time.Second, "victim to own some rows", func() bool {
 		st := victim.Store()
 		return len(st.Uptime)+len(st.Capacity)+len(st.Counts)+len(st.Sightings)+
-			len(st.WiFi)+len(st.Flows)+len(st.Throughput) > 0
+			len(st.WiFi)+len(st.Flows)+len(st.Throughput) > 0 && hasSealed(victim)
 	})
 	if err := victim.Drain(ctx); err != nil {
 		t.Fatalf("drain under load: %v", err)

@@ -1,21 +1,42 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
 
+	"natpeek/internal/collector"
 	"natpeek/internal/dataset"
 	"natpeek/internal/wire"
 )
 
-// Planned ownership transfer. Failover (node.go) hands off the
-// journaled tail when a node dies; this file hands off a node's FULL
-// owned row set when the ring changes shape on purpose — scale-out
-// (JoinRing) and scale-in (Drain). The protocol:
+// Moving rows between nodes. Every row that leaves a node travels one
+// way, handoff: the node's dedupe keys and keyed wire.Items are grouped
+// by their owner under a given ring, each owner is pushed its keys
+// first (MsgTransferKeys) and then sent the items as bounded NPB2
+// chunks through its own data plane — admission control, the
+// first-write gate, dedupe and telemetry apply unchanged, and a re-sent
+// chunk flattens to duplicates. Two callers use it:
+//
+//   - Failover (node.go replayScan): when a frame's owner lost its
+//     store, the first live successor hands the journaled frame's items
+//     to their owners under the current ring. The items carry their
+//     client keys, so no key set travels with them.
+//   - Planned rebalancing (this file): when the ring changes shape on
+//     purpose — scale-out (JoinRing) and scale-in (Drain) — a source
+//     hands off its FULL owned row set for the moving routers.
+//
+// Keys reach a node in exactly two ways, both seeded by seedKeys: the
+// push a handoff makes, and the pull of the receiving node's first-write
+// gate (gateRouter), which every row — client upload, replay or
+// transfer — passes before its router's first apply.
+//
+// The rebalance protocol:
 //
 //  1. The coordinator proposes a RingEpoch with the new composition and
 //     broadcasts it. Every front that learns the pending epoch starts
@@ -24,15 +45,14 @@ import (
 //  2. waitEpochVisible blocks until every live member — fronts
 //     included — reports the proposal's version. From here, no write
 //     for a moving shard can land anywhere.
-//  3. Sources run extract-and-send sessions: atomically extract the
-//     moving routers' rows from the store (dedupe keys are retained at
-//     the source), re-encode them as NPB2 batches keyed
-//     "<router>:xfer:<src>:<session>:<kind>:<i>", and POST them through
-//     the new owner's own data plane — admission control, dedupe, and
-//     telemetry apply unchanged, and a re-sent chunk flattens to
-//     duplicates. The moved routers' idempotency keys are pushed
-//     alongside (MsgTransferKeys) so late client retries dedupe at the
-//     new owner even after the source is gone.
+//  3. Sources run transfer sessions: atomically extract the moving
+//     routers' rows from the store (dedupe keys are retained at the
+//     source), re-encode them as items keyed
+//     "<router>:xfer:<src>:<session>:<kind>:<i>", and hand them off
+//     under the epoch's ring together with the moved routers' client
+//     keys, so late client retries dedupe at the new owner even after
+//     the source is gone. Items that cannot be delivered are restored
+//     into the source's store.
 //  4. Sessions repeat until one moves zero rows, then the coordinator
 //     commits the epoch and broadcasts again; fronts route by the new
 //     ring and stop fencing.
@@ -58,6 +78,165 @@ const (
 	xfkFlows
 	xfkThroughput
 )
+
+// handoffResult is what a handoff did: the rows its posts applied and
+// found duplicate, and the keys and items it did not deliver.
+type handoffResult struct {
+	applied, duplicates int
+	keys                []dataset.RouterKey
+	items               []wire.Item
+}
+
+// handoff moves dedupe keys and keyed items to their owners under ring
+// (an empty ring means this node). Owners are served in ID order; for
+// each, the keys go first, in MsgTransferKeys pushes of at most
+// transferKeysPerMsg, so its dedupe index knows them before any moved
+// row lands, then the items, in NPB2 chunks of at most
+// transferBatchItems through its data plane. Every post is attempted
+// once: the first failure for an owner stops that owner, and its
+// undelivered keys and items come back in the result, with the first
+// error, for the caller to retry or restore.
+func (n *Node) handoff(ctx context.Context, ring *Ring, keys []dataset.RouterKey, items []wire.Item) (handoffResult, error) {
+	type group struct {
+		keys  []dataset.RouterKey
+		items []wire.Item
+	}
+	groups := make(map[string]*group)
+	groupOf := func(router string) *group {
+		owner := ring.Owner(router)
+		if owner == "" {
+			owner = n.cfg.ID
+		}
+		g := groups[owner]
+		if g == nil {
+			g = &group{}
+			groups[owner] = g
+		}
+		return g
+	}
+	for _, rk := range keys {
+		g := groupOf(rk.Router)
+		g.keys = append(g.keys, rk)
+	}
+	for _, it := range items {
+		g := groupOf(routerOfItem(&it))
+		g.items = append(g.items, it)
+	}
+	owners := make([]string, 0, len(groups))
+	for o := range groups {
+		owners = append(owners, o)
+	}
+	sort.Strings(owners)
+
+	var res handoffResult
+	var firstErr error
+	for _, owner := range owners {
+		g := groups[owner]
+		mem, ok := n.ms.lookup(owner)
+		var err error
+		if !ok || mem.DataAddr == "" || mem.CtrlAddr == "" {
+			err = fmt.Errorf("cluster: handoff destination %s unknown", owner)
+		}
+		if err == nil {
+			if err = n.pushKeys(mem, g.keys); err == nil {
+				g.keys = nil
+			}
+		}
+		for err == nil && len(g.items) > 0 {
+			nn := min(len(g.items), transferBatchItems)
+			var br collector.BatchResult
+			br, err = postBatchBinary(ctx, n.httpc, mem.DataAddr, wire.AppendBatch(nil, g.items[:nn]))
+			if err == nil {
+				res.applied += br.Applied
+				res.duplicates += br.Duplicates
+				g.items = g.items[nn:]
+			}
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			res.keys = append(res.keys, g.keys...)
+			res.items = append(res.items, g.items...)
+		}
+	}
+	return res, firstErr
+}
+
+// pushKeys sends one owner its keys, grouped by router, in
+// MsgTransferKeys pushes of at most transferKeysPerMsg keys.
+func (n *Node) pushKeys(mem Member, keys []dataset.RouterKey) error {
+	sort.SliceStable(keys, func(i, j int) bool { return keys[i].Router < keys[j].Router })
+	for len(keys) > 0 {
+		nn := min(len(keys), transferKeysPerMsg)
+		var entries []ManifestEntry
+		for _, rk := range keys[:nn] {
+			if len(entries) == 0 || entries[len(entries)-1].Router != rk.Router {
+				entries = append(entries, ManifestEntry{Router: rk.Router})
+			}
+			en := &entries[len(entries)-1]
+			en.Keys = append(en.Keys, rk.Key)
+		}
+		if _, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/transferkeys", &Message{
+			Kind:         MsgTransferKeys,
+			TransferKeys: &TransferKeys{From: n.cfg.ID, Entries: entries},
+		}, 30*time.Second); err != nil {
+			return fmt.Errorf("cluster: key push to %s: %w", mem.ID, err)
+		}
+		n.mXferKeys.Add(int64(nn))
+		keys = keys[nn:]
+	}
+	return nil
+}
+
+// postBatchBinary POSTs one NPB2 batch to a data plane and decodes the
+// BatchResult.
+func postBatchBinary(ctx context.Context, httpc *http.Client, dataAddr string, batch []byte) (collector.BatchResult, error) {
+	var res collector.BatchResult
+	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		"http://"+dataAddr+"/v1/batch", bytes.NewReader(batch))
+	if err != nil {
+		return res, err
+	}
+	req.Header.Set("Content-Type", wire.ContentTypeBinary)
+	resp, err := httpc.Do(req)
+	if err != nil {
+		return res, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
+		return res, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return res, fmt.Errorf("batch post to %s: %s: %s", dataAddr, resp.Status, bytes.TrimSpace(body))
+	}
+	err = json.Unmarshal(body, &res)
+	return res, err
+}
+
+// retry runs fn until it succeeds or ctx ends, logging each failure and
+// backing off from 100 ms, doubling up to 2 s, between attempts.
+func (n *Node) retry(ctx context.Context, what string, fn func() error) error {
+	backoff := 100 * time.Millisecond
+	for {
+		err := fn()
+		if err == nil {
+			return nil
+		}
+		n.log.Warn(what+" failed, retrying", "err", err)
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("cluster: %s: %w (last error: %v)", what, ctx.Err(), err)
+		case <-time.After(backoff):
+		}
+		if backoff < 2*time.Second {
+			backoff *= 2
+		}
+	}
+}
 
 // JoinRing adds this node to the routing ring: propose an epoch over
 // the current composition plus self, fence, pull ownership from every
@@ -212,26 +391,26 @@ func (n *Node) waitEpochVisible(ctx context.Context, version uint64) error {
 // the proposed epoch and reports how many rows it moved. Retries until
 // ctx expires — a source mid-session answers when its lock frees.
 func (n *Node) requestTransfer(ctx context.Context, src string, e *RingEpoch) (uint64, error) {
-	for {
-		if mem, ok := n.ms.lookup(src); ok && mem.CtrlAddr != "" {
-			m, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/transfer", &Message{
-				Kind:        MsgTransferRequest,
-				TransferReq: &TransferRequest{From: n.cfg.ID, Epoch: e},
-			}, 2*time.Minute)
-			if err == nil && m != nil && m.Kind == MsgTransferResponse {
-				return m.TransferResp.Rows, nil
-			}
-			if err == nil {
-				err = fmt.Errorf("unexpected transfer reply")
-			}
-			n.log.Warn("transfer request failed, retrying", "src", src, "err", err)
+	var rows uint64
+	err := n.retry(ctx, "transfer request to "+src, func() error {
+		mem, ok := n.ms.lookup(src)
+		if !ok || mem.CtrlAddr == "" {
+			return fmt.Errorf("source %s unknown", src)
 		}
-		select {
-		case <-ctx.Done():
-			return 0, fmt.Errorf("cluster: transfer request to %s: %w", src, ctx.Err())
-		case <-time.After(250 * time.Millisecond):
+		m, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/transfer", &Message{
+			Kind:        MsgTransferRequest,
+			TransferReq: &TransferRequest{From: n.cfg.ID, Epoch: e},
+		}, 2*time.Minute)
+		if err != nil {
+			return err
 		}
-	}
+		if m == nil || m.Kind != MsgTransferResponse {
+			return fmt.Errorf("unexpected transfer reply")
+		}
+		rows = m.TransferResp.Rows
+		return nil
+	})
+	return rows, err
 }
 
 // rebalanceLoop runs extract-and-send sessions against the epoch's ring
@@ -258,20 +437,15 @@ func (n *Node) rebalanceLoop(ctx context.Context, e *RingEpoch) (uint64, error) 
 }
 
 // rebalanceOnce is one transfer session: atomically extract every row
-// the epoch's ring assigns to someone else, stream the rows to their
-// new owners through those owners' data planes, and push the moved
-// routers' idempotency keys. Returns the extracted row count (the
-// loop's termination signal).
-//
-// Failure handling is asymmetric on purpose. A chunk that cannot be
-// delivered is restored into the local store — along with every chunk
-// after it — so rows are never stranded in memory; chunks already
-// acknowledged stay moved (they live at the destination, and their xfer
-// keys make any later re-send flatten to duplicates). A key push that
-// fails aborts the session WITHOUT restoring rows: the rows are safely
-// at their new owner, and retrying the session re-pushes the keys
-// (extraction returns a router's keys for as long as the source
-// remembers them, rows or no rows).
+// the epoch's ring assigns to someone else and hand the rows, with the
+// moved routers' idempotency keys, to their new owners. Returns the
+// extracted row count (the loop's termination signal). The handoff is
+// retried until ctx expires; whatever it still could not deliver is
+// restored into the local store, so rows are never stranded in memory.
+// Delivered chunks stay moved: they live at the destination, and their
+// xfer keys make any later re-send flatten to duplicates. Extraction
+// returns a router's keys for as long as the source remembers them,
+// rows or no rows, so every session re-pushes them.
 func (n *Node) rebalanceOnce(ctx context.Context, e *RingEpoch) (uint64, error) {
 	n.xferMu.Lock()
 	defer n.xferMu.Unlock()
@@ -280,41 +454,26 @@ func (n *Node) rebalanceOnce(ctx context.Context, e *RingEpoch) (uint64, error) 
 	if ring.Len() == 0 {
 		return 0, nil
 	}
-	// Resolve every possible destination before extracting anything: a
-	// destination we cannot address would strand rows outside the store.
-	dests := make(map[string]Member)
-	for _, id := range e.Nodes {
-		if id == n.cfg.ID {
-			continue
-		}
-		mem, ok := n.ms.lookup(id)
-		if !ok || mem.DataAddr == "" || mem.CtrlAddr == "" {
-			return 0, fmt.Errorf("cluster: transfer destination %s unknown", id)
-		}
-		dests[id] = mem
-	}
 	rs, ok := n.srv.Sharded().(dataset.RebalanceStore)
 	if !ok {
 		return 0, fmt.Errorf("cluster: store does not support rebalancing")
 	}
-	match := func(router string) bool {
+	moved, keys := rs.ExtractRouters(func(router string) bool {
 		o := ring.Owner(router)
 		return o != "" && o != n.cfg.ID
-	}
-	sess := n.xferSess.Add(1)
-	moved, keys := rs.ExtractRouters(match)
-	rows := storeRows(moved)
-	if rows > 0 || len(moved.RouterCountry) > 0 {
-		chunks := transferChunks(n.cfg.ID, sess, moved, ring, dests)
-		if failed, err := n.sendChunks(ctx, chunks); err != nil {
-			n.restoreItems(failed)
-			return 0, err
-		}
-		n.mXferRows.Add(int64(rows))
-	}
-	if err := n.pushKeys(ctx, ring, dests, keys); err != nil {
+	})
+	items := transferItems(n.cfg.ID, n.xferSess.Add(1), moved)
+	err := n.retry(ctx, "transfer handoff", func() error {
+		res, err := n.handoff(ctx, ring, keys, items)
+		keys, items = res.keys, res.items
+		return err
+	})
+	if err != nil {
+		n.restoreItems(items)
 		return 0, err
 	}
+	rows := storeRows(moved)
+	n.mXferRows.Add(int64(rows))
 	return uint64(rows), nil
 }
 
@@ -324,30 +483,21 @@ func storeRows(st *dataset.Store) int {
 		len(st.WiFi) + len(st.Flows) + len(st.Throughput)
 }
 
-// xferChunk is one transfer batch POST: a destination data address and
-// the items going there.
-type xferChunk struct {
-	addr  string
-	items []wire.Item
-}
-
-// transferChunks re-encodes an extracted snapshot as per-destination
-// NPB2 batches. Every item carries a deterministic xfer idempotency key
-// (so redelivery dedupes) and rows stay in extraction order within each
-// destination. Roster entries travel first as /v1/register items so the
-// destination knows a router before its rows. Device sightings ride as
-// JSON censusUpload bodies without a count row — a typed KindDevices
-// item cannot carry sightings alone, and counts and sightings moved
-// independently cannot be re-paired.
-func transferChunks(src string, sess uint64, moved *dataset.Store, ring *Ring, dests map[string]Member) []xferChunk {
-	byOwner := make(map[string][]wire.Item)
+// transferItems re-encodes an extracted snapshot as keyed items. Every
+// item carries a deterministic xfer idempotency key (so redelivery
+// dedupes) and rows stay in extraction order. Roster entries come first
+// as /v1/register items so the destination knows a router before its
+// rows. Device sightings ride as JSON censusUpload bodies without a
+// count row — a typed KindDevices item cannot carry sightings alone, and
+// counts and sightings moved independently cannot be re-paired.
+func transferItems(src string, sess uint64, moved *dataset.Store) []wire.Item {
+	var items []wire.Item
 	idx := make(map[string]int)
 	add := func(router string, kind int, endpoint string, p wire.Payload) {
-		owner := ring.Owner(router)
 		ik := fmt.Sprintf("%s\x00%d", router, kind)
 		key := fmt.Sprintf("%s:xfer:%s:%d:%d:%d", router, src, sess, kind, idx[ik])
 		idx[ik]++
-		byOwner[owner] = append(byOwner[owner], wire.Item{Endpoint: endpoint, Key: key, Payload: p})
+		items = append(items, wire.Item{Endpoint: endpoint, Key: key, Payload: p})
 	}
 
 	routers := make([]string, 0, len(moved.RouterCountry))
@@ -386,26 +536,7 @@ func transferChunks(src string, sess uint64, moved *dataset.Store, ring *Ring, d
 	runs(moved.Throughput, func(r dataset.ThroughputSample) string { return r.RouterID }, func(router string, run []dataset.ThroughputSample) {
 		add(router, xfkThroughput, "/v1/traffic/throughput", wire.Payload{Kind: wire.KindThroughput, Throughput: run})
 	})
-
-	owners := make([]string, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Strings(owners)
-	var chunks []xferChunk
-	for _, o := range owners {
-		items := byOwner[o]
-		addr := dests[o].DataAddr
-		for len(items) > 0 {
-			nn := len(items)
-			if nn > transferBatchItems {
-				nn = transferBatchItems
-			}
-			chunks = append(chunks, xferChunk{addr: addr, items: items[:nn]})
-			items = items[nn:]
-		}
-	}
-	return chunks
+	return items
 }
 
 // runs invokes emit for maximal consecutive same-router row runs,
@@ -416,45 +547,6 @@ func runs[T any](rows []T, router func(T) string, emit func(router string, run [
 		if i == len(rows) || router(rows[i]) != router(rows[start]) || i-start >= transferRunRows {
 			emit(router(rows[start]), rows[start:i])
 			start = i
-		}
-	}
-}
-
-// sendChunks delivers transfer chunks in order, retrying each until ctx
-// expires. On giving up it returns every item not yet acknowledged so
-// the caller can restore them; delivered chunks are final.
-func (n *Node) sendChunks(ctx context.Context, chunks []xferChunk) ([]wire.Item, error) {
-	for i, ch := range chunks {
-		if err := n.postChunk(ctx, ch); err != nil {
-			var rest []wire.Item
-			for _, c := range chunks[i:] {
-				rest = append(rest, c.items...)
-			}
-			return rest, err
-		}
-	}
-	return nil, nil
-}
-
-// postChunk POSTs one transfer batch with backoff until ctx expires
-// (the destination's admission control may 429 under load; the xfer
-// keys make every retry idempotent).
-func (n *Node) postChunk(ctx context.Context, ch xferChunk) error {
-	batch := wire.AppendBatch(nil, ch.items)
-	backoff := 100 * time.Millisecond
-	for {
-		_, err := postBatchBinary(n.httpc, ch.addr, batch)
-		if err == nil {
-			return nil
-		}
-		n.log.Warn("transfer chunk post failed, retrying", "dest", ch.addr, "items", len(ch.items), "err", err)
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: transfer chunk to %s: %w", ch.addr, ctx.Err())
-		case <-time.After(backoff):
-		}
-		if backoff < 2*time.Second {
-			backoff *= 2
 		}
 	}
 }
@@ -518,106 +610,6 @@ func (n *Node) restoreRawItem(store dataset.IngestStore, router string, it *wire
 	}
 }
 
-// pushKeys streams the moved routers' idempotency keys to their new
-// owners, chunked, retrying until ctx expires. The keys also remain at
-// the source (manifest pulls still serve them); the push makes the new
-// owner self-sufficient before the source drains away.
-func (n *Node) pushKeys(ctx context.Context, ring *Ring, dests map[string]Member, keys []dataset.RouterKey) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	type pending struct {
-		entries []ManifestEntry
-		count   int
-	}
-	byOwner := make(map[string]*pending)
-	byRouter := make(map[string]*ManifestEntry)
-	for _, rk := range keys {
-		owner := ring.Owner(rk.Router)
-		if owner == "" || owner == n.cfg.ID {
-			continue
-		}
-		en := byRouter[owner+"\x00"+rk.Router]
-		if en == nil {
-			p := byOwner[owner]
-			if p == nil {
-				p = &pending{}
-				byOwner[owner] = p
-			}
-			p.entries = append(p.entries, ManifestEntry{Router: rk.Router})
-			en = &p.entries[len(p.entries)-1]
-			byRouter[owner+"\x00"+rk.Router] = en
-		}
-		en.Keys = append(en.Keys, rk.Key)
-	}
-	owners := make([]string, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Strings(owners)
-	sent := 0
-	for _, owner := range owners {
-		mem := dests[owner]
-		var batch []ManifestEntry
-		batchKeys := 0
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			if err := n.postTransferKeys(ctx, mem, batch); err != nil {
-				return err
-			}
-			sent += batchKeys
-			batch, batchKeys = nil, 0
-			return nil
-		}
-		for _, en := range byOwner[owner].entries {
-			for len(en.Keys) > 0 {
-				nn := len(en.Keys)
-				if room := transferKeysPerMsg - batchKeys; nn > room {
-					nn = room
-				}
-				batch = append(batch, ManifestEntry{Router: en.Router, Keys: en.Keys[:nn]})
-				batchKeys += nn
-				en.Keys = en.Keys[nn:]
-				if batchKeys >= transferKeysPerMsg {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-	}
-	n.mXferKeys.Add(int64(sent))
-	return nil
-}
-
-// postTransferKeys delivers one MsgTransferKeys push with retries.
-func (n *Node) postTransferKeys(ctx context.Context, mem Member, entries []ManifestEntry) error {
-	backoff := 100 * time.Millisecond
-	for {
-		_, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/transferkeys", &Message{
-			Kind:         MsgTransferKeys,
-			TransferKeys: &TransferKeys{From: n.cfg.ID, Entries: entries},
-		}, 30*time.Second)
-		if err == nil {
-			return nil
-		}
-		n.log.Warn("transfer key push failed, retrying", "dest", mem.ID, "err", err)
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: key push to %s: %w", mem.ID, ctx.Err())
-		case <-time.After(backoff):
-		}
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
-	}
-}
-
 // rehomeJournal re-replicates the unreplayed frames this node holds as
 // a successor to a surviving epoch node, so draining does not silently
 // shrink the frames' replication factor. The receiver's journalSeen
@@ -663,26 +655,16 @@ func (n *Node) rehomeJournal(ctx context.Context, e *RingEpoch) error {
 				succs = append(succs, s)
 			}
 		}
-		backoff := 100 * time.Millisecond
-		for {
+		if err := n.retry(ctx, "drain: re-home journal to "+target, func() error {
 			_, err := postCtrl(n.httpc, mem.CtrlAddr, "/cluster/replicate", &Message{
 				Kind:      MsgReplicate,
 				Replicate: &Replicate{Owner: en.owner, Successors: succs, Batch: en.batch},
 			}, 30*time.Second)
-			if err == nil {
-				rehomed++
-				break
-			}
-			n.log.Warn("drain: journal re-home failed, retrying", "target", target, "err", err)
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("cluster: drain: re-home journal to %s: %w", target, ctx.Err())
-			case <-time.After(backoff):
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
+			return err
+		}); err != nil {
+			return err
 		}
+		rehomed++
 	}
 	if rehomed > 0 {
 		n.log.Info("drain: re-homed journal frames", "frames", rehomed)
@@ -715,30 +697,22 @@ func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		TransferResp: &TransferResponse{From: n.cfg.ID, Rows: rows}})
 }
 
-// handleTransferKeys seeds pushed idempotency keys into the local
-// dedupe index (a no-op apply, like manifest seeding) and records them
-// so this node's own manifests serve them onward.
+// handleTransferKeys seeds a handoff's pushed idempotency keys into the
+// local dedupe index and records them so this node's own manifests
+// serve them onward: they came with rows this node now owns. Pulled
+// keys are seeded but not recorded — they vouch for rows held
+// elsewhere, which this node cannot vouch for.
 func (n *Node) handleTransferKeys(w http.ResponseWriter, r *http.Request) {
 	m, ok := n.readCtrl(w, r, MsgTransferKeys)
 	if !ok {
 		return
 	}
-	store := n.srv.Sharded()
+	n.seedKeys(m.TransferKeys.Entries)
+	n.mu.Lock()
 	for _, en := range m.TransferKeys.Entries {
-		for _, k := range en.Keys {
-			store.Apply(en.Router, k, func(*dataset.Store) {})
-		}
-		n.mu.Lock()
-		ks := n.ownerKeys[en.Router]
-		if ks == nil {
-			ks = make(map[string]bool)
-			n.ownerKeys[en.Router] = ks
-		}
-		for _, k := range en.Keys {
-			ks[k] = true
-		}
-		n.mu.Unlock()
+		n.rememberKeysLocked(en.Router, en.Keys...)
 	}
+	n.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -1,10 +1,10 @@
 // Planned ownership transfer: when the cluster resizes, a node must
 // hand a router's full row set — not just its journaled tail — to the
-// router's new owner. The store side of that hand-off lives here: a
-// consistent scan of everything a set of routers owns, and an atomic
-// extract that removes those rows while *retaining* their idempotency
-// keys, so a client retry that arrives after the move still dedupes at
-// the old home instead of resurrecting a row that now lives elsewhere.
+// router's new owner. The store side of that hand-off lives here: an
+// atomic extract that removes a set of routers' rows while *retaining*
+// their idempotency keys, so a client retry that arrives after the move
+// still dedupes at the old home instead of resurrecting a row that now
+// lives elsewhere.
 package dataset
 
 import "strings"
@@ -32,19 +32,17 @@ func KeyRouter(key string) string {
 // needs on top of plain ingestion. Both IngestStore implementations
 // (*Sharded and the segment store) provide it.
 //
-// ScanRouters returns a consistent snapshot of the rows, roster entries,
-// and remembered idempotency keys belonging to routers selected by
-// match, without modifying the store. ExtractRouters additionally
-// removes the matched rows and roster entries — atomically with the
-// snapshot, so no concurrently-arriving row is ever silently dropped
-// between scan and eviction. Extracted dedupe keys are returned but NOT
-// forgotten: the source keeps rejecting replays of moved uploads, which
-// is what keeps exactly-once intact while a retry horizon straddles the
-// move. Heartbeat logs are not part of either snapshot (in cluster mode
-// they live at the front tier).
+// ExtractRouters returns a consistent snapshot of the rows, roster
+// entries, and remembered idempotency keys belonging to routers
+// selected by match, and removes the matched rows and roster entries
+// atomically with the snapshot, so no concurrently-arriving row is ever
+// silently dropped between snapshot and eviction. Extracted dedupe keys
+// are returned but NOT forgotten: the source keeps rejecting replays of
+// moved uploads, which is what keeps exactly-once intact while a retry
+// horizon straddles the move. Heartbeat logs are not part of the
+// snapshot (in cluster mode they live at the front tier).
 type RebalanceStore interface {
 	IngestStore
-	ScanRouters(match func(router string) bool) (*Store, []RouterKey)
 	ExtractRouters(match func(router string) bool) (*Store, []RouterKey)
 }
 
@@ -86,25 +84,11 @@ func splitRows[T any](rows []T, router func(T) string, match func(string) bool) 
 	return hit, rest
 }
 
-// ScanRouters implements RebalanceStore: a consistent (all stripes
-// locked) snapshot of the matched routers' rows in global arrival
-// order, their roster entries, and their remembered idempotency keys.
-func (s *Sharded) ScanRouters(match func(string) bool) (*Store, []RouterKey) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	moved := &Store{RouterCountry: make(map[string]string)}
-	s.collectMatchedLocked(moved, match)
-	return moved, s.matchedKeysLocked(match)
-}
-
-// ExtractRouters implements RebalanceStore: ScanRouters plus removal of
-// the matched rows and roster entries under the same lock acquisition.
+// ExtractRouters implements RebalanceStore: a consistent (all stripes
+// locked) snapshot of the matched routers' rows in global arrival order,
+// their roster entries and their remembered idempotency keys, plus
+// removal of the matched rows and roster entries under the same lock
+// acquisition.
 // Dedupe keys stay in the index (see RebalanceStore). Each stripe is
 // rebuilt seg-by-seg so the surviving rows keep their arrival-order
 // segment stamps — a later Merge interleaves them exactly as if the
@@ -130,22 +114,6 @@ func (s *Sharded) ExtractRouters(match func(string) bool) (*Store, []RouterKey) 
 		extractShardRows(sh, match)
 	}
 	return moved, keys
-}
-
-// MatchedKeys returns the remembered idempotency keys whose router
-// prefix is selected by match, without touching any rows. The segment
-// store serves its key scans from the live memtable's index (which has
-// adopted every predecessor generation's keys) through this.
-func (s *Sharded) MatchedKeys(match func(string) bool) []RouterKey {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	return s.matchedKeysLocked(match)
 }
 
 // collectMatchedLocked appends every matched row into out in global

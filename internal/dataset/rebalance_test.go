@@ -147,24 +147,6 @@ func TestExtractRetainsDedupeKeys(t *testing.T) {
 	}
 }
 
-// TestScanRoutersIsReadOnly: Scan must report the same snapshot an
-// extract would move, without changing the store.
-func TestScanRoutersIsReadOnly(t *testing.T) {
-	s := seedRebalance(t, 3, 120)
-	match := matchPrefixes("rt-1", "rt-7")
-	scanned, keys := s.ScanRouters(match)
-	if len(scanned.Uptime) == 0 || len(keys) != len(scanned.Uptime) {
-		t.Fatalf("scan: %d rows, %d keys", len(scanned.Uptime), len(keys))
-	}
-	if got := len(s.Merge().Uptime); got != 120 {
-		t.Fatalf("scan mutated the store: %d rows left", got)
-	}
-	moved, _ := s.ExtractRouters(match)
-	if len(moved.Uptime) != len(scanned.Uptime) {
-		t.Fatalf("extract moved %d rows, scan promised %d", len(moved.Uptime), len(scanned.Uptime))
-	}
-}
-
 // TestSplitRoutersPartitionsEveryKind drives the row-set partition
 // helper across all seven measurement kinds plus the roster, checking
 // order preservation per slice and that hit+rest is a clean partition.

@@ -17,19 +17,6 @@ import (
 
 var _ dataset.RebalanceStore = (*Store)(nil)
 
-// ScanRouters implements dataset.RebalanceStore: a snapshot of the
-// matched routers' rows (segments, sealed generation, live memtable —
-// in that order) plus their remembered idempotency keys. Read-only and
-// advisory; ExtractRouters is the atomic operation.
-func (s *Store) ScanRouters(match func(string) bool) (*dataset.Store, []dataset.RouterKey) {
-	hit, _ := dataset.SplitRouters(s.Merge(), match)
-	hit.Heartbeats = nil
-	s.rot.RLock()
-	mem := s.mem
-	s.rot.RUnlock()
-	return hit, mem.sh.MatchedKeys(match)
-}
-
 // ExtractRouters implements dataset.RebalanceStore. It runs under
 // flushMu, so no seal, flush, or compaction can race it; appliers keep
 // writing to the live memtable throughout, and because the memtable is
