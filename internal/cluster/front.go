@@ -10,6 +10,8 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,9 +58,10 @@ type FrontConfig struct {
 // difference — and routes every upload by router-ID consistent hash to
 // its owning node, replicating each acknowledged write to the R-1
 // successor journals before acking. Batches that span routers are split
-// per placement group, re-encoded as NPB2, and forwarded with a
-// front.route span appended so node-side /debug/traces shows the
-// front→node hop in every waterfall.
+// per placement group and forwarded as NPB2 sub-batches that copy each
+// item's bytes — its rows are decoded to check the batch, never encoded
+// again — with a front.route span appended so node-side /debug/traces
+// shows the front→node hop in every waterfall.
 type Front struct {
 	cfg FrontConfig
 	ms  *membership
@@ -252,7 +255,7 @@ func (f *Front) gossipLoop() {
 }
 
 func (f *Front) handleGossip(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ctrlMaxBody))
+	body, err := readBody(w, r, ctrlMaxBody)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -312,15 +315,58 @@ func (f *Front) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc
 	}
 }
 
-// placementGroup is one replica set's slice of a batch.
+// placementGroup is one replica set's slice of a batch, and the attrs
+// of the front.route span its traced items carry across the hop.
 type placementGroup struct {
-	placement []string
-	items     []wire.Item
+	placement  []string
+	routeAttrs []trace.Attr
+	items      []routedItem
+}
+
+// routedItem is one batch item as the front and handoff move it: what
+// routing needs, a trace the front may extend, and the item's NPB2
+// payload section — never its rows. An item without rows cannot reach
+// an applier or restoreItems by mistake.
+type routedItem struct {
+	endpoint string
+	key      string
+	kind     wire.Kind
+	router   string
+	trace    *trace.Wire
+	encoded  []byte // the payload section; may alias the batch it came from
+}
+
+// itemScratch pools the wire.Item frames appendRouted hands AppendBatch.
+var itemScratch = sync.Pool{New: func() any { return new([]wire.Item) }}
+
+// appendRouted frames items as one NPB2 batch onto dst, copying each
+// item's payload section as it is.
+func appendRouted(dst []byte, items []routedItem) []byte {
+	sp := itemScratch.Get().(*[]wire.Item)
+	frames := (*sp)[:0]
+	size := len(dst) + 16
+	for i := range items {
+		ri := &items[i]
+		frames = append(frames, wire.Item{Endpoint: ri.endpoint, Key: ri.key,
+			Payload: wire.Payload{Kind: ri.kind}, Encoded: ri.encoded, Trace: ri.trace})
+		size += len(ri.encoded) + len(ri.key) + len(ri.endpoint) + 8
+		if ri.trace != nil {
+			size += 64 * len(ri.trace.Spans)
+		}
+	}
+	if cap(dst) < size {
+		dst = append(make([]byte, 0, size), dst...)
+	}
+	dst = wire.AppendBatch(dst, frames)
+	clear(frames)
+	*sp = frames[:0]
+	itemScratch.Put(sp)
+	return dst
 }
 
 func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, frontMaxUpload))
+	body, err := readBody(w, r, frontMaxUpload)
 	if err != nil {
 		f.mErrors.With("read").Inc()
 		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
@@ -374,17 +420,20 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 var decoderPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
 
 // decodeBatchItems turns either wire form of a /v1/batch body into
-// owned wire.Items. JSON items are transcoded to typed payloads
-// (KindRaw verbatim fallback preserves accept/reject behaviour
-// byte-for-byte); NPB2 items are deep-copied out of decoder scratch.
-func decodeBatchItems(contentType string, body []byte) ([]wire.Item, error) {
+// routed items. An NPB2 body is decoded in full, so a batch the
+// collector would refuse is refused here, before any item is forwarded;
+// each item then keeps its routing facts, a copy of its trace and its
+// payload section, which aliases body. JSON items are transcoded to
+// typed payloads (the KindRaw verbatim fallback preserves accept/reject
+// behaviour byte-for-byte) and their sections encoded.
+func decodeBatchItems(contentType string, body []byte) ([]routedItem, error) {
 	if contentType == wire.ContentTypeBinary || strings.HasPrefix(contentType, wire.ContentTypeBinary+";") {
 		dec := decoderPool.Get().(*wire.Decoder)
 		defer decoderPool.Put(dec)
 		if err := dec.Reset(body); err != nil {
 			return nil, err
 		}
-		items := make([]wire.Item, 0, dec.Len())
+		items := make([]routedItem, 0, dec.Len())
 		var it wire.Item
 		for {
 			err := dec.Next(&it)
@@ -394,21 +443,25 @@ func decodeBatchItems(contentType string, body []byte) ([]wire.Item, error) {
 			if err != nil {
 				return nil, err
 			}
-			items = append(items, it.Clone())
+			ri := routedItem{endpoint: it.Endpoint, key: it.Key, kind: it.Payload.Kind,
+				router: routerOfItem(&it), encoded: dec.Encoded()}
+			if tr := it.Trace; tr != nil {
+				// The decoder reuses its span slice; room for front.route.
+				spans := append(make([]trace.Span, 0, len(tr.Spans)+1), tr.Spans...)
+				ri.trace = &trace.Wire{Router: tr.Router, Spans: spans}
+			}
+			items = append(items, ri)
 		}
 	}
 	var jitems []collector.BatchItem
 	if err := json.Unmarshal(body, &jitems); err != nil {
 		return nil, err
 	}
-	items := make([]wire.Item, 0, len(jitems))
+	items := make([]routedItem, 0, len(jitems))
 	for _, ji := range jitems {
-		items = append(items, wire.Item{
-			Endpoint: ji.Endpoint,
-			Key:      ji.Key,
-			Payload:  wire.PayloadFromJSON(ji.Endpoint, ji.Body),
-			Trace:    ji.Trace,
-		})
+		it := wire.Item{Endpoint: ji.Endpoint, Key: ji.Key, Payload: wire.PayloadFromJSON(ji.Endpoint, ji.Body)}
+		items = append(items, routedItem{endpoint: it.Endpoint, key: it.Key, kind: it.Payload.Kind,
+			router: routerOfItem(&it), trace: ji.Trace, encoded: wire.AppendPayload(nil, &it.Payload)})
 	}
 	return items, nil
 }
@@ -419,7 +472,7 @@ func decodeBatchItems(contentType string, body []byte) ([]wire.Item, error) {
 // mid-cutover — partial application would ack rows the client has no
 // way to re-send selectively, so the batch is refused before a single
 // item is forwarded and the retry lands intact after the cutover.
-func (f *Front) groupItems(items []wire.Item, start time.Time) ([]*placementGroup, *forwardFailure) {
+func (f *Front) groupItems(items []routedItem, start time.Time) ([]*placementGroup, *forwardFailure) {
 	ring := f.ms.ring()
 	if ring.Len() == 0 {
 		return nil, &forwardFailure{status: http.StatusServiceUnavailable, msg: "no live collector nodes"}
@@ -429,34 +482,40 @@ func (f *Front) groupItems(items []wire.Item, start time.Time) ([]*placementGrou
 	if n > ring.Len() {
 		n = ring.Len()
 	}
-	byKey := make(map[string]*placementGroup)
 	var groups []*placementGroup
 	now := time.Now()
+	tracing := trace.Enabled()
 	for i := range items {
 		it := &items[i]
-		router := routerOfItem(it)
-		if f.fenceCheck(ring, pending, router) {
-			return nil, fencedFailure(router)
+		if f.fenceCheck(ring, pending, it.router) {
+			return nil, fencedFailure(it.router)
 		}
-		placement := ring.Lookup(router, n)
-		gk := strings.Join(placement, "\x00")
-		g := byKey[gk]
+		placement := ring.Lookup(it.router, n)
+		var g *placementGroup
+		for _, og := range groups {
+			if slices.Equal(og.placement, placement) {
+				g = og
+				break
+			}
+		}
 		if g == nil {
 			g = &placementGroup{placement: placement}
-			byKey[gk] = g
-			groups = append(groups, g)
-		}
-		if trace.Enabled() && it.Key != "" {
-			if it.Trace == nil {
-				it.Trace = &trace.Wire{Router: router}
-			}
-			it.Trace.Spans = append(it.Trace.Spans, trace.Span{
-				Name: "front.route", Start: start, End: now, Status: trace.StatusOK,
-				Attrs: []trace.Attr{
+			if tracing {
+				g.routeAttrs = []trace.Attr{
 					{K: "front", V: f.cfg.ID},
 					{K: "node", V: placement[0]},
-					{K: "replicas", V: fmt.Sprint(len(placement) - 1)},
-				},
+					{K: "replicas", V: strconv.Itoa(len(placement) - 1)},
+				}
+			}
+			groups = append(groups, g)
+		}
+		if tracing && it.key != "" {
+			if it.trace == nil {
+				it.trace = &trace.Wire{Router: it.router}
+			}
+			it.trace.Spans = append(it.trace.Spans, trace.Span{
+				Name: "front.route", Start: start, End: now, Status: trace.StatusOK,
+				Attrs: g.routeAttrs,
 			})
 		}
 		g.items = append(g.items, *it)
@@ -492,7 +551,7 @@ func (f *Front) forwardGroup(ctx context.Context, g *placementGroup, traceparent
 		f.mErrors.With("owner-unknown").Inc()
 		return res, &forwardFailure{status: http.StatusServiceUnavailable, msg: "owner node unknown"}
 	}
-	enc := wire.AppendBatch(nil, g.items)
+	enc := appendRouted(nil, g.items)
 
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		"http://"+om.DataAddr+"/v1/batch", bytes.NewReader(enc))
@@ -550,10 +609,10 @@ func (f *Front) forwardGroup(ctx context.Context, g *placementGroup, traceparent
 		f.mReplicated.With(succ).Inc()
 	}
 
-	if trace.Enabled() && len(g.items) > 0 && g.items[0].Key != "" {
+	if trace.Enabled() && len(g.items) > 0 && g.items[0].key != "" {
 		f.rec.Finish(&trace.Trace{
-			ID: trace.IDFromKey(g.items[0].Key), Endpoint: "/v1/batch",
-			Router: routerOfItem(&g.items[0]),
+			ID: trace.IDFromKey(g.items[0].key), Endpoint: "/v1/batch",
+			Router: g.items[0].router,
 			Spans: []trace.Span{{
 				Name: "front.forward", Start: start, End: time.Now(), Status: trace.StatusOK,
 				Attrs: []trace.Attr{
@@ -575,7 +634,7 @@ func (f *Front) forwardGroup(ctx context.Context, g *placementGroup, traceparent
 // them.
 func (f *Front) proxyEndpoint(endpoint string) http.HandlerFunc {
 	return f.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, frontMaxUpload))
+		body, err := readBody(w, r, frontMaxUpload)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 			return
@@ -816,6 +875,13 @@ func keyRouter(key string) string {
 		return key[:i]
 	}
 	return ""
+}
+
+// readBody reads a request body of at most limit bytes into one
+// allocation sized from its Content-Length, clamped to limit. Replicate
+// frames are kept by the journal, so bodies are never pooled.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	return collector.ReadAllInto(nil, http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 }
 
 // gunzipBounded inflates a gzip body, refusing to expand past limit.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,6 +81,14 @@ type membership struct {
 	// gossiped membership, exactly as before epochs existed.
 	cur  *RingEpoch
 	next *RingEpoch
+
+	// The rings routing asks for on every request, memoized: ringCache
+	// was built from exactly the node list ringIDs, pendCache from the
+	// pending epoch pendFor (epochs are replaced, never mutated).
+	ringIDs, ringScratch []string
+	ringCache            *Ring
+	pendFor              *RingEpoch
+	pendCache            *Ring
 }
 
 type peerEntry struct {
@@ -257,50 +266,65 @@ func (ms *membership) view() []MemberView {
 	return out
 }
 
-// ring builds the routing hash ring. With a committed epoch, its node
+// ring returns the routing hash ring. With a committed epoch, its node
 // list IS the ring — filtered by local liveness so a dead epoch member
 // still fails over via journals — and membership only supplies
 // addresses. Without one (a cluster that has never resized), the ring
 // derives from gossiped membership as before: RoleNode, not locally
 // dead, and not mid-join. Suspects stay on the ring — pulling them on
 // the first stalled beat would flap ownership under load spikes; only a
-// dead verdict moves shards.
+// dead verdict moves shards. The ring is rebuilt only when that node
+// list changes; until then every call returns the same *Ring.
 func (ms *membership) ring() *Ring {
-	views := ms.view()
-	cur, _ := ms.epochs()
-	if cur != nil {
-		alive := make(map[string]bool, len(views))
-		for _, mv := range views {
-			if mv.Role == RoleNode && mv.State != StateDead {
-				alive[mv.ID] = true
-			}
-		}
-		var ids []string
-		for _, id := range cur.Nodes {
-			if alive[id] {
+	now := ms.now()
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	live := func(m Member, lastAdvance time.Time) bool {
+		return m.Role == RoleNode && (m.ID == ms.self.ID || now.Sub(lastAdvance) <= ms.cfg.DeadAfter)
+	}
+	ids := ms.ringScratch[:0]
+	if ms.cur != nil {
+		for _, id := range ms.cur.Nodes {
+			if id == ms.self.ID {
+				if live(ms.self, now) {
+					ids = append(ids, id)
+				}
+			} else if pe, ok := ms.peers[id]; ok && live(pe.m, pe.lastAdvance) {
 				ids = append(ids, id)
 			}
 		}
-		return NewRing(ids, DefaultVnodes)
-	}
-	var ids []string
-	for _, mv := range views {
-		if mv.Role == RoleNode && mv.State != StateDead && !mv.Joining {
-			ids = append(ids, mv.ID)
+	} else {
+		if live(ms.self, now) && !ms.self.Joining {
+			ids = append(ids, ms.self.ID)
 		}
+		for _, pe := range ms.peers {
+			if live(pe.m, pe.lastAdvance) && !pe.m.Joining {
+				ids = append(ids, pe.m.ID)
+			}
+		}
+		sort.Strings(ids)
 	}
-	return NewRing(ids, DefaultVnodes)
+	ms.ringScratch = ids
+	if ms.ringCache == nil || !slices.Equal(ids, ms.ringIDs) {
+		ms.ringIDs = append(ms.ringIDs[:0], ids...)
+		ms.ringCache = NewRing(ids, DefaultVnodes)
+	}
+	return ms.ringCache
 }
 
 // pendingRing is the ring a pending epoch proposes, unfiltered by
 // liveness — fencing compares ownership deterministically, the same on
-// every front.
+// every front. It is built once per pending epoch.
 func (ms *membership) pendingRing() *Ring {
-	_, next := ms.epochs()
-	if next == nil {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.next == nil {
 		return nil
 	}
-	return NewRing(next.Nodes, DefaultVnodes)
+	if ms.pendFor != ms.next {
+		ms.pendFor, ms.pendCache = ms.next, NewRing(ms.next.Nodes, DefaultVnodes)
+	}
+	return ms.pendCache
 }
 
 // planningNodes is the node set a coordinator starts a membership

@@ -258,3 +258,72 @@ func TestMembershipCommitEpoch(t *testing.T) {
 		t.Fatalf("next proposal version = %d, want 3", e2.Version)
 	}
 }
+
+// TestMembershipRingCached pins the ring cache: while the ring's node
+// list stays the same, ring() and pendingRing() hand back the very same
+// *Ring — beats that keep members alive change nothing — and each of
+// the events that change the list builds a new one: a joiner's flag
+// clearing, a peer passing DeadAfter, and an epoch committing.
+func TestMembershipRingCached(t *testing.T) {
+	ms, advance := testMembership("self")
+	beat := uint64(10) // past every beat merged below
+	alive := func(ids ...string) {
+		beat++
+		var ms2 []Member
+		for _, id := range ids {
+			ms2 = append(ms2, Member{ID: id, Role: RoleNode, Incarnation: 1, Beat: beat})
+		}
+		ms.merge(ms2)
+	}
+	ms.merge([]Member{
+		{ID: "n1", Role: RoleNode, Incarnation: 1, Beat: 1},
+		{ID: "n2", Role: RoleNode, Incarnation: 1, Beat: 1},
+		{ID: "joiner", Role: RoleNode, Incarnation: 1, Beat: 1, Joining: true},
+	})
+	r := ms.ring()
+	advance(5 * time.Second)
+	alive("n1", "n2")
+	if ms.ring() != r {
+		t.Fatal("ring rebuilt while its node list was unchanged")
+	}
+
+	ms.merge([]Member{{ID: "joiner", Role: RoleNode, Incarnation: 1, Beat: 9}})
+	joined := ms.ring()
+	if joined == r || !reflect.DeepEqual(joined.Nodes(), []string{"joiner", "n1", "n2", "self"}) {
+		t.Fatalf("ring after the joiner's flag cleared = %v (new: %v)", joined.Nodes(), joined != r)
+	}
+
+	advance(6 * time.Second) // n1 and n2 beat 6s ago, the joiner just now
+	alive("joiner", "n1")
+	if ms.ring() != joined {
+		t.Fatal("ring rebuilt before any peer passed DeadAfter")
+	}
+	advance(5 * time.Second) // n2 is now 11s stale
+	alive("joiner", "n1")
+	dead := ms.ring()
+	if dead == joined || !reflect.DeepEqual(dead.Nodes(), []string{"joiner", "n1", "self"}) {
+		t.Fatalf("ring after n2 passed DeadAfter = %v (new: %v)", dead.Nodes(), dead != joined)
+	}
+	if ms.ring() != dead {
+		t.Fatal("ring rebuilt with nothing changed")
+	}
+
+	e := ms.proposeEpoch([]string{"n1", "self"})
+	pending := ms.pendingRing()
+	if pending == nil || ms.pendingRing() != pending {
+		t.Fatal("pending ring not built once per pending epoch")
+	}
+	if ms.ring() != dead {
+		t.Fatal("a proposal alone rebuilt the committed ring")
+	}
+	if _, ok := ms.commitEpoch(e.Version); !ok {
+		t.Fatal("commit failed")
+	}
+	committed := ms.ring()
+	if committed == dead || !reflect.DeepEqual(committed.Nodes(), []string{"n1", "self"}) {
+		t.Fatalf("ring after the epoch committed = %v (new: %v)", committed.Nodes(), committed != dead)
+	}
+	if ms.pendingRing() != nil {
+		t.Fatal("pending ring survives its epoch's commit")
+	}
+}

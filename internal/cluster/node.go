@@ -616,7 +616,7 @@ func (n *Node) handleMembers(w http.ResponseWriter, r *http.Request) {
 
 // readCtrl decodes one NPC1 request of the expected kind.
 func (n *Node) readCtrl(w http.ResponseWriter, r *http.Request, want MsgKind) (*Message, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, ctrlMaxBody))
+	body, err := readBody(w, r, ctrlMaxBody)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false

@@ -20,7 +20,7 @@
 package cluster
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -88,7 +88,8 @@ func (r *Ring) Len() int { return len(r.nodes) }
 
 // Lookup returns the replica set for a router: its owner followed by
 // up to n-1 distinct successor nodes clockwise. Returns nil on an
-// empty ring; fewer than n when the ring is smaller than n.
+// empty ring; fewer than n when the ring is smaller than n. The result
+// is the only allocation: successors are deduplicated by scanning it.
 func (r *Ring) Lookup(router string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
@@ -96,28 +97,31 @@ func (r *Ring) Lookup(router string, n int) []string {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
-	h := hash64str(router)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	i := r.first(router)
 	out := make([]string, 0, n)
-	taken := make(map[int]bool, n)
 	for scanned := 0; scanned < len(r.points) && len(out) < n; scanned++ {
-		p := r.points[(i+scanned)%len(r.points)]
-		if taken[p.node] {
-			continue
+		id := r.nodes[r.points[(i+scanned)%len(r.points)].node]
+		if !slices.Contains(out, id) {
+			out = append(out, id)
 		}
-		taken[p.node] = true
-		out = append(out, r.nodes[p.node])
 	}
 	return out
 }
 
 // Owner returns the router's owning node ("" on an empty ring).
 func (r *Ring) Owner(router string) string {
-	set := r.Lookup(router, 1)
-	if len(set) == 0 {
+	if len(r.points) == 0 {
 		return ""
 	}
-	return set[0]
+	return r.nodes[r.points[r.first(router)].node]
+}
+
+// first is the index of the router's ring point: the first clockwise
+// from its hash, wrapping past the end. The ring must not be empty.
+func (r *Ring) first(router string) int {
+	h := hash64(router)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return i % len(r.points)
 }
 
 // hash64 is FNV-1a (the repo-wide pick for non-adversarial placement
@@ -126,17 +130,15 @@ func (r *Ring) Owner(router string) string {
 // selection: sequential IDs like "rt-0001".."rt-0031" leave FNV's
 // high-order bits barely dispersed, and the ring positions by range
 // over the full word rather than by modulus — without the finalizer,
-// whole ID sequences land in one node's arc.
-func hash64(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return mix64(h.Sum64())
-}
-
-func hash64str(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return mix64(h.Sum64())
+// whole ID sequences land in one node's arc. It is written out rather
+// than taken from hash/fnv so that hashing a string allocates nothing.
+func hash64[S ~string | ~[]byte](b S) uint64 {
+	h := uint64(14695981039346656037) // FNV-64 offset basis
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211 // FNV-64 prime
+	}
+	return mix64(h)
 }
 
 // mix64 is the murmur3 fmix64 finalizer: full avalanche, so nearby

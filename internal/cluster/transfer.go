@@ -16,7 +16,7 @@ import (
 )
 
 // Moving rows between nodes. Every row that leaves a node travels one
-// way, handoff: the node's dedupe keys and keyed wire.Items are grouped
+// way, handoff: the node's dedupe keys and keyed items are grouped
 // by their owner under a given ring, each owner is pushed its keys
 // first (MsgTransferKeys) and then sent the items as bounded NPB2
 // chunks through its own data plane — admission control, the
@@ -84,7 +84,7 @@ const (
 type handoffResult struct {
 	applied, duplicates int
 	keys                []dataset.RouterKey
-	items               []wire.Item
+	items               []routedItem
 }
 
 // handoff moves dedupe keys and keyed items to their owners under ring
@@ -96,10 +96,10 @@ type handoffResult struct {
 // once: the first failure for an owner stops that owner, and its
 // undelivered keys and items come back in the result, with the first
 // error, for the caller to retry or restore.
-func (n *Node) handoff(ctx context.Context, ring *Ring, keys []dataset.RouterKey, items []wire.Item) (handoffResult, error) {
+func (n *Node) handoff(ctx context.Context, ring *Ring, keys []dataset.RouterKey, items []routedItem) (handoffResult, error) {
 	type group struct {
 		keys  []dataset.RouterKey
-		items []wire.Item
+		items []routedItem
 	}
 	groups := make(map[string]*group)
 	groupOf := func(router string) *group {
@@ -119,7 +119,7 @@ func (n *Node) handoff(ctx context.Context, ring *Ring, keys []dataset.RouterKey
 		g.keys = append(g.keys, rk)
 	}
 	for _, it := range items {
-		g := groupOf(routerOfItem(&it))
+		g := groupOf(it.router)
 		g.items = append(g.items, it)
 	}
 	owners := make([]string, 0, len(groups))
@@ -145,7 +145,7 @@ func (n *Node) handoff(ctx context.Context, ring *Ring, keys []dataset.RouterKey
 		for err == nil && len(g.items) > 0 {
 			nn := min(len(g.items), transferBatchItems)
 			var br collector.BatchResult
-			br, err = postBatchBinary(ctx, n.httpc, mem.DataAddr, wire.AppendBatch(nil, g.items[:nn]))
+			br, err = postBatchBinary(ctx, n.httpc, mem.DataAddr, appendRouted(nil, g.items[:nn]))
 			if err == nil {
 				res.applied += br.Applied
 				res.duplicates += br.Duplicates
@@ -462,14 +462,15 @@ func (n *Node) rebalanceOnce(ctx context.Context, e *RingEpoch) (uint64, error) 
 		o := ring.Owner(router)
 		return o != "" && o != n.cfg.ID
 	})
-	items := transferItems(n.cfg.ID, n.xferSess.Add(1), moved)
+	typed := transferItems(n.cfg.ID, n.xferSess.Add(1), moved)
+	items := routeTransfer(typed)
 	err := n.retry(ctx, "transfer handoff", func() error {
 		res, err := n.handoff(ctx, ring, keys, items)
 		keys, items = res.keys, res.items
 		return err
 	})
 	if err != nil {
-		n.restoreItems(items)
+		n.restoreItems(typed, items)
 		return 0, err
 	}
 	rows := storeRows(moved)
@@ -539,6 +540,18 @@ func transferItems(src string, sess uint64, moved *dataset.Store) []wire.Item {
 	return items
 }
 
+// routeTransfer encodes each transfer item's payload section once, for
+// every handoff attempt to copy.
+func routeTransfer(typed []wire.Item) []routedItem {
+	items := make([]routedItem, len(typed))
+	for i := range typed {
+		it := &typed[i]
+		items[i] = routedItem{endpoint: it.Endpoint, key: it.Key, kind: it.Payload.Kind,
+			router: routerOfItem(it), encoded: wire.AppendPayload(nil, &it.Payload)}
+	}
+	return items
+}
+
 // runs invokes emit for maximal consecutive same-router row runs,
 // capped at transferRunRows rows each.
 func runs[T any](rows []T, router func(T) string, emit func(router string, run []T)) {
@@ -551,17 +564,25 @@ func runs[T any](rows []T, router func(T) string, emit func(router string, run [
 	}
 }
 
-// restoreItems re-appends undelivered transfer items into this node's
-// own store (Append, not Apply — their keys were never forgotten).
-// Arrival order within the store is perturbed relative to the original
-// ingest, which snapshot digests tolerate: they sort rows.
-func (n *Node) restoreItems(items []wire.Item) {
-	if len(items) == 0 {
+// restoreItems re-appends the transfer items a handoff left undelivered
+// — the typed items whose keys undelivered names — into this node's own
+// store (Append, not Apply — their keys were never forgotten). Arrival
+// order within the store is perturbed relative to the original ingest,
+// which snapshot digests tolerate: they sort rows.
+func (n *Node) restoreItems(typed []wire.Item, undelivered []routedItem) {
+	if len(undelivered) == 0 {
 		return
 	}
+	left := make(map[string]bool, len(undelivered))
+	for _, ri := range undelivered {
+		left[ri.key] = true
+	}
 	store := n.srv.Sharded()
-	for i := range items {
-		it := &items[i]
+	for i := range typed {
+		it := &typed[i]
+		if !left[it.Key] {
+			continue
+		}
 		router := routerOfItem(it)
 		switch p := &it.Payload; p.Kind {
 		case wire.KindUptime:
@@ -585,7 +606,7 @@ func (n *Node) restoreItems(items []wire.Item) {
 			n.restoreRawItem(store, router, it)
 		}
 	}
-	n.log.Warn("restored undelivered transfer items", "items", len(items))
+	n.log.Warn("restored undelivered transfer items", "items", len(undelivered))
 }
 
 // restoreRawItem handles the two raw transfer forms: register bodies

@@ -207,6 +207,9 @@ func (r *Reader) Err() error { return r.err }
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
 
+// Offset returns how many bytes of the buffer have been read.
+func (r *Reader) Offset() int { return r.off }
+
 // End returns Err, or an error if unread bytes remain.
 func (r *Reader) End() error {
 	if r.err == nil && r.Len() > 0 {

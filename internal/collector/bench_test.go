@@ -2,14 +2,20 @@ package collector
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"natpeek/internal/dataset"
+	"natpeek/internal/mac"
+	"natpeek/internal/spool"
 	"natpeek/internal/trace"
 	"natpeek/internal/wire"
 )
@@ -222,6 +228,106 @@ func BenchmarkIngestBatchTraced(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)*items/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// benchMixedPayloads builds n uploads cycling through every Sink kind,
+// sized like a gateway's: a census with sightings, a scan, a flow table
+// and a throughput series between the single-row reports.
+func benchMixedPayloads(n int) []wire.Payload {
+	at := time.Date(2013, 4, 1, 0, 0, 0, 0, time.UTC)
+	out := make([]wire.Payload, n)
+	for i := range out {
+		router := fmt.Sprintf("bench-%03d", i%16)
+		t := at.Add(time.Duration(i) * time.Minute)
+		dev := mac.Addr{2, 0, 0, 0, byte(i), 1}
+		switch i % 6 {
+		case 0:
+			out[i] = wire.Payload{Kind: wire.KindUptime, Uptime: dataset.UptimeReport{RouterID: router, ReportedAt: t, Uptime: time.Hour}}
+		case 1:
+			out[i] = wire.Payload{Kind: wire.KindCapacity, Capacity: dataset.CapacityMeasure{RouterID: router, MeasuredAt: t, UpBps: 1e6, DownBps: 8e6}}
+		case 2:
+			p := wire.Payload{Kind: wire.KindDevices, Count: dataset.DeviceCount{RouterID: router, At: t, Wired: 1, W24: 3}}
+			for j := 0; j < 4; j++ {
+				p.Sightings = append(p.Sightings, dataset.DeviceSighting{RouterID: router, At: t, Device: dev, Kind: dataset.Wireless24})
+			}
+			out[i] = p
+		case 3:
+			out[i] = wire.Payload{Kind: wire.KindWiFi, WiFi: []dataset.WiFiScan{
+				{RouterID: router, At: t, Band: "2.4GHz", Channel: 6, VisibleAPs: 11, Clients: 3},
+				{RouterID: router, At: t, Band: "5GHz", Channel: 36, VisibleAPs: 2, Clients: 1}}}
+		case 4:
+			p := wire.Payload{Kind: wire.KindFlows}
+			for j := 0; j < 8; j++ {
+				p.Flows = append(p.Flows, dataset.FlowRecord{RouterID: router, Device: dev, Domain: fmt.Sprintf("d%d.example", j),
+					Proto: "tcp", First: t, Last: t.Add(time.Minute), UpBytes: 1200, DownBytes: 64000, UpPkts: 9, DownPkts: 50, Conns: 1})
+			}
+			out[i] = p
+		default:
+			p := wire.Payload{Kind: wire.KindThroughput}
+			for j := 0; j < 4; j++ {
+				p.Throughput = append(p.Throughput, dataset.ThroughputSample{RouterID: router, Minute: t.Add(time.Duration(j) * time.Minute),
+					Dir: "down", PeakBps: 4e6, TotalBytes: 1 << 20})
+			}
+			out[i] = p
+		}
+	}
+	return out
+}
+
+// BenchmarkClientSendBatch prices one delivery attempt on the client —
+// the per-batch work a home router's agent does: a 64-item batch mixing
+// every upload kind, traced as shipped, framed as NPB2 and POSTed to an
+// in-process server that acknowledges without decoding. src=sink sends
+// the items as the Sink methods spool them, payload sections encoded
+// once at enqueue; src=journal sends them as recovered from the disk
+// journal, JSON bodies only, so every attempt transcodes each body.
+func BenchmarkClientSendBatch(b *testing.B) {
+	const items = 64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Accept-Post", wire.ContentTypeBinary)
+		if r.URL.Path != "/v1/batch" {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		w.Write([]byte(`{"applied":64}`))
+	}))
+	defer ts.Close()
+	c, err := NewClient("bench-client", "US", "127.0.0.1:9", strings.TrimPrefix(ts.URL, "http://"),
+		WithWireFormat(WireBinary))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	var sink, journal []spool.Item
+	for i, p := range benchMixedPayloads(items) {
+		it, err := c.spoolItem(&p)
+		if err != nil || it.Encoded == nil {
+			b.Fatalf("item %d: no payload section (%v)", i, err)
+		}
+		it.Key = fmt.Sprintf("bench-client:n:%s:%d", it.Endpoint, i)
+		it.EnqueuedAt = time.Now()
+		sink = append(sink, it)
+		it.Encoded = nil
+		journal = append(journal, it)
+	}
+	for _, bc := range []struct {
+		src   string
+		items []spool.Item
+	}{{"sink", sink}, {"journal", journal}} {
+		b.Run("src="+bc.src, func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.sendBatch(ctx, bc.items); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)*items/b.Elapsed().Seconds(), "items/s")
 		})
 	}
 }

@@ -1151,6 +1151,7 @@ func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Resul
 		prior = append([]trace.Span(nil), c.attempts...)
 		c.mu.Unlock()
 	}
+	attempt := strconv.Itoa(len(prior) + 1)
 	for i, it := range items {
 		payload[i] = BatchItem{Endpoint: it.Endpoint, Key: it.Key, Body: it.Body}
 		if tracing && it.Key != "" {
@@ -1163,11 +1164,11 @@ func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Resul
 			// Open span: the server sees the in-flight attempt; its own
 			// spans bound when the request actually landed.
 			w.Spans = append(w.Spans, trace.Span{Name: "spool.send", Start: now,
-				Attrs: []trace.Attr{{K: "attempt", V: fmt.Sprint(len(prior) + 1)}}})
+				Attrs: []trace.Attr{{K: "attempt", V: attempt}}})
 			payload[i].Trace = w
 		}
 	}
-	body, contentType, err := c.encodeBatch(payload)
+	body, contentType, err := c.encodeBatch(items, payload)
 	if err != nil {
 		return spool.Result{}, err
 	}
@@ -1236,22 +1237,27 @@ func (c *Client) sendBatch(ctx context.Context, items []spool.Item) (spool.Resul
 }
 
 // encodeBatch renders one batch request body in the client's negotiated
-// encoding, applying gzip when configured. The binary transcode is
-// conservative: any body that does not decode cleanly into its
+// encoding, applying gzip when configured. A binary body is framing
+// around bytes that already exist: each item's payload section was
+// encoded once, from the typed rows, when its Sink call enqueued it, and
+// is copied here as it is. Only an item without one — recovered from
+// the disk journal, which keeps JSON bodies alone — is transcoded from
+// its JSON body, where any body that does not decode cleanly into its
 // endpoint's typed rows ships as raw JSON inside the NPB2 envelope, so
 // the server's accept/reject outcome matches the JSON path exactly. The
 // returned buffer is drainer-owned and valid until the next call.
-func (c *Client) encodeBatch(payload []BatchItem) (body []byte, contentType string, err error) {
+func (c *Client) encodeBatch(items []spool.Item, payload []BatchItem) (body []byte, contentType string, err error) {
 	useBinary := c.wireMode == WireBinary || (c.wireMode == WireAuto && c.binary.Load())
 	if useBinary {
-		wireItems := make([]wire.Item, len(payload))
+		wireItems := make([]wire.Item, 0, len(payload))
 		for i := range payload {
-			wireItems[i] = wire.Item{
-				Endpoint: payload[i].Endpoint,
-				Key:      payload[i].Key,
-				Payload:  wire.PayloadFromJSON(payload[i].Endpoint, payload[i].Body),
-				Trace:    payload[i].Trace,
+			it := wire.Item{Endpoint: payload[i].Endpoint, Key: payload[i].Key, Trace: payload[i].Trace}
+			if enc := items[i].Encoded; enc != nil {
+				it.Payload.Kind, it.Encoded = wire.KindFor(it.Endpoint), enc
+			} else {
+				it.Payload = wire.PayloadFromJSON(payload[i].Endpoint, payload[i].Body)
 			}
+			wireItems = append(wireItems, it)
 		}
 		c.encBuf = wire.AppendBatch(c.encBuf[:0], wireItems)
 		body, contentType = c.encBuf, wire.ContentTypeBinary
@@ -1335,25 +1341,81 @@ func (c *Client) countBatchFailures(items []spool.Item) {
 }
 
 // enqueue spools one measurement payload for background delivery,
-// stamping it with the open export-window span when one is active.
-func (c *Client) enqueue(path string, v any) {
+// stamping it with the open export-window span when one is active. The
+// JSON body is marshalled here, for the disk journal and the JSON wire;
+// a marshal error drops the payload and sets Err. Unless the client is
+// pinned to JSON, the payload's NPB2 section is encoded here too — once,
+// from the typed rows, instead of being transcoded from JSON on every
+// delivery attempt.
+func (c *Client) enqueue(p wire.Payload) {
+	path := p.Kind.Endpoint()
 	c.mUploads.With(path).Inc()
-	body, err := json.Marshal(v)
+	it, err := c.spoolItem(&p)
 	if err != nil {
 		_ = c.fail(path, err)
 		return
 	}
-	var spans []trace.Span
 	if trace.Enabled() {
 		c.mu.Lock()
 		if c.window != nil {
 			sp := *c.window
 			sp.End = time.Now()
-			spans = []trace.Span{sp}
+			it.Spans = []trace.Span{sp}
 		}
 		c.mu.Unlock()
 	}
-	c.sp.EnqueueSpans(path, body, spans)
+	c.sp.EnqueueItem(it)
+}
+
+// spoolItem renders p as the spool carries it: its JSON body and, for a
+// client that may send binary, its payload section.
+func (c *Client) spoolItem(p *wire.Payload) (spool.Item, error) {
+	body, err := p.JSONBody()
+	if err != nil {
+		return spool.Item{}, err
+	}
+	it := spool.Item{Endpoint: p.Kind.Endpoint(), Body: body}
+	if c.wireMode != WireJSON && jsonExact(p, body) {
+		it.Encoded = wire.AppendPayload(nil, p)
+	}
+	return it, nil
+}
+
+// jsonExact reports whether p's rows are exactly what its JSON body
+// decodes to, so its typed encoding equals the transcode of that body
+// and a payload reads the same whichever wire or journal carries it.
+// Two things JSON cannot carry make it false: json.Marshal writes
+// invalid UTF-8 as the escape \ufffd, and RFC 3339 carries a time's
+// zone offset in whole minutes. Such a payload is left to the transcode.
+func jsonExact(p *wire.Payload, body []byte) bool {
+	if bytes.Contains(body, []byte(`\ufffd`)) {
+		return false
+	}
+	whole := func(t time.Time) bool { _, off := t.Zone(); return off%60 == 0 }
+	switch p.Kind {
+	case wire.KindUptime:
+		return whole(p.Uptime.ReportedAt)
+	case wire.KindCapacity:
+		return whole(p.Capacity.MeasuredAt)
+	case wire.KindDevices:
+		return whole(p.Count.At) && allTimes(p.Sightings, func(r *dataset.DeviceSighting) bool { return whole(r.At) })
+	case wire.KindWiFi:
+		return allTimes(p.WiFi, func(r *dataset.WiFiScan) bool { return whole(r.At) })
+	case wire.KindFlows:
+		return allTimes(p.Flows, func(r *dataset.FlowRecord) bool { return whole(r.First) && whole(r.Last) })
+	case wire.KindThroughput:
+		return allTimes(p.Throughput, func(r *dataset.ThroughputSample) bool { return whole(r.Minute) })
+	}
+	return false
+}
+
+func allTimes[T any](rows []T, ok func(*T) bool) bool {
+	for i := range rows {
+		if !ok(&rows[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Heartbeat implements gateway.Sink. Errors are dropped by design —
@@ -1366,29 +1428,35 @@ func (c *Client) Heartbeat(_ string, at time.Time) {
 }
 
 // UptimeReport implements gateway.Sink.
-func (c *Client) UptimeReport(r dataset.UptimeReport) { c.enqueue("/v1/uptime", r) }
+func (c *Client) UptimeReport(r dataset.UptimeReport) {
+	c.enqueue(wire.Payload{Kind: wire.KindUptime, Uptime: r})
+}
 
 // CapacityMeasure implements gateway.Sink.
-func (c *Client) CapacityMeasure(m dataset.CapacityMeasure) { c.enqueue("/v1/capacity", m) }
+func (c *Client) CapacityMeasure(m dataset.CapacityMeasure) {
+	c.enqueue(wire.Payload{Kind: wire.KindCapacity, Capacity: m})
+}
 
 // DeviceCensus implements gateway.Sink.
 func (c *Client) DeviceCensus(count dataset.DeviceCount, sightings []dataset.DeviceSighting) {
-	c.enqueue("/v1/devices", censusUpload{Count: count, Sightings: sightings})
+	c.enqueue(wire.Payload{Kind: wire.KindDevices, Count: count, Sightings: sightings})
 }
 
 // WiFiScan implements gateway.Sink.
-func (c *Client) WiFiScan(scans []dataset.WiFiScan) { c.enqueue("/v1/wifi", scans) }
+func (c *Client) WiFiScan(scans []dataset.WiFiScan) {
+	c.enqueue(wire.Payload{Kind: wire.KindWiFi, WiFi: scans})
+}
 
 // TrafficFlows implements gateway.Sink.
 func (c *Client) TrafficFlows(flows []dataset.FlowRecord) {
 	if len(flows) > 0 {
-		c.enqueue("/v1/traffic/flows", flows)
+		c.enqueue(wire.Payload{Kind: wire.KindFlows, Flows: flows})
 	}
 }
 
 // TrafficThroughput implements gateway.Sink.
 func (c *Client) TrafficThroughput(samples []dataset.ThroughputSample) {
 	if len(samples) > 0 {
-		c.enqueue("/v1/traffic/throughput", samples)
+		c.enqueue(wire.Payload{Kind: wire.KindThroughput, Throughput: samples})
 	}
 }

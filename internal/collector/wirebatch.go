@@ -34,16 +34,18 @@ var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
 
 func putBody(bb *bodyBuf) { bodyPool.Put(bb) }
 
-// readAllInto is io.ReadAll into a reused buffer, growing dst from the
-// size hint (Content-Length) so a right-sized request reads without any
-// growth copies.
-func readAllInto(dst []byte, r io.Reader, sizeHint int64) ([]byte, error) {
+// ReadAllInto is io.ReadAll into dst, sized once from the request's
+// Content-Length (sizeHint) instead of doubling its way up, and reading
+// into dst's spare capacity when it is a reused buffer. Every handler
+// that reads a whole request body shares it.
+func ReadAllInto(dst []byte, r io.Reader, sizeHint, limit int64) ([]byte, error) {
 	// The hint is attacker-controlled (a Content-Length header nobody
-	// has read a byte against yet): clamp it to the upload cap before it
-	// becomes allocation capacity, so a forged multi-GiB header cannot
-	// drive a huge make() that MaxBytesReader would never let fill.
-	if sizeHint > maxUploadBytes+1 {
-		sizeHint = maxUploadBytes + 1
+	// has read a byte against yet): clamp it to the body cap the caller
+	// enforces before it becomes allocation capacity, so a forged
+	// multi-GiB header cannot drive a huge make() that MaxBytesReader
+	// would never let fill.
+	if sizeHint > limit+1 {
+		sizeHint = limit + 1
 	}
 	if n := int(sizeHint); n > 0 && int64(n) == sizeHint && cap(dst) < n+1 {
 		dst = append(make([]byte, 0, n+1), dst...)
@@ -73,7 +75,7 @@ func readAllInto(dst []byte, r io.Reader, sizeHint int64) ([]byte, error) {
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, endpoint string) *bodyBuf {
 	bb := bodyPool.Get().(*bodyBuf)
 	var err error
-	bb.b, err = readAllInto(bb.b[:0], r.Body, r.ContentLength)
+	bb.b, err = ReadAllInto(bb.b[:0], r.Body, r.ContentLength, maxUploadBytes)
 	if err == nil && r.Header.Get("Content-Encoding") == "gzip" {
 		bb, err = s.gunzipBody(bb)
 	}
@@ -100,7 +102,7 @@ func (s *Server) gunzipBody(bb *bodyBuf) (*bodyBuf, error) {
 		return bb, err
 	}
 	out := bodyPool.Get().(*bodyBuf)
-	out.b, err = readAllInto(out.b[:0], io.LimitReader(zr, maxUploadBytes+1), int64(len(bb.b))*3)
+	out.b, err = ReadAllInto(out.b[:0], io.LimitReader(zr, maxUploadBytes+1), int64(len(bb.b))*3, maxUploadBytes)
 	if err == nil {
 		err = zr.Close()
 	}

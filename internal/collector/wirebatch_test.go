@@ -153,7 +153,7 @@ func TestGzipBombGets413(t *testing.T) {
 // 256 admitted requests that pre-allocation alone could exhaust memory
 // before MaxBytesReader ever rejected the bodies.
 func TestReadAllIntoClampsForgedSizeHint(t *testing.T) {
-	buf, err := readAllInto(nil, strings.NewReader("tiny body"), 1<<40)
+	buf, err := ReadAllInto(nil, strings.NewReader("tiny body"), 1<<40, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,6 +45,12 @@ type Item struct {
 	Key string `json:"key"`
 	// Body is the endpoint's JSON payload.
 	Body json.RawMessage `json:"body"`
+	// Encoded optionally carries Body's rows as an NPB2 payload section,
+	// encoded once by the producer from its typed values, so a binary
+	// sender need not transcode Body on every attempt. The spool treats
+	// it as opaque and never journals it: an item recovered from disk
+	// has only Body.
+	Encoded []byte `json:"-"`
 	// Seq orders items within their endpoint queue (monotonic per run).
 	Seq uint64 `json:"seq"`
 	// EnqueuedAt timestamps admission into the spool; the drainer turns
@@ -307,31 +313,31 @@ func (s *Spooler) queue(endpoint string) *queue {
 // Enqueue accepts one payload for eventual delivery. It never blocks: a
 // full queue drops its oldest item (counted) to make room.
 func (s *Spooler) Enqueue(endpoint string, body []byte) {
-	s.EnqueueSpans(endpoint, body, nil)
+	s.EnqueueItem(Item{Endpoint: endpoint, Body: append(json.RawMessage(nil), body...)})
 }
 
-// EnqueueSpans is Enqueue with trace history: spans accumulated before
-// the payload reached the spool (the gateway's export-window span) ride
-// along to the collector, which folds them into the end-to-end trace.
-func (s *Spooler) EnqueueSpans(endpoint string, body []byte, spans []trace.Span) {
+// EnqueueItem is Enqueue for a payload handed over whole: its Endpoint
+// and Body, plus the optional Encoded section and Spans — trace history
+// accumulated before the payload reached the spool (the gateway's
+// export-window span), which rides along to the collector. The spool
+// takes ownership of the item's slices and assigns its Key, Seq and
+// EnqueuedAt.
+func (s *Spooler) EnqueueItem(it Item) {
 	now := time.Now()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
+	endpoint := it.Endpoint
 	q := s.queue(endpoint)
-	it := Item{
-		Endpoint:   endpoint,
-		Seq:        q.seq,
-		Key:        fmt.Sprintf("%s:%s:%s:%d", s.cfg.KeyPrefix, s.nonce, endpoint, q.seq),
-		Body:       append(json.RawMessage(nil), body...),
-		EnqueuedAt: now,
-		Spans:      spans,
-	}
+	it.Seq = q.seq
+	it.Key = fmt.Sprintf("%s:%s:%s:%d", s.cfg.KeyPrefix, s.nonce, endpoint, q.seq)
+	it.EnqueuedAt = now
 	q.seq++
 	if len(q.items) >= s.cfg.Capacity {
 		dropped := q.items[0]
+		q.items[0] = Item{}
 		q.items = q.items[1:]
 		s.depth--
 		s.gDepth.Add(-1)
@@ -421,6 +427,7 @@ func (s *Spooler) ack(items []Item, res Result) {
 			}
 			n++
 		}
+		clear(q.items[:n]) // the backing array must not pin acked payloads
 		q.items = q.items[n:]
 		s.depth -= n
 		s.gDepth.Add(float64(-n))

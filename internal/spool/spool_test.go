@@ -596,7 +596,7 @@ func TestHealthGaugesAndSpans(t *testing.T) {
 	defer s.Close()
 
 	spans := []trace.Span{{Name: "gateway.export", Start: time.Now().Add(-time.Second), End: time.Now()}}
-	s.EnqueueSpans("/v1/uptime", body(1), spans)
+	s.EnqueueItem(Item{Endpoint: "/v1/uptime", Body: body(1), Spans: spans})
 	s.Enqueue("/v1/uptime", body(2))
 	s.Enqueue("/v1/wifi", body(3))
 
@@ -646,7 +646,7 @@ func TestJournalBytesGaugeAndSpanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans := []trace.Span{{Name: "gateway.export", Start: time.Unix(100, 0).UTC(), End: time.Unix(101, 0).UTC()}}
-	s.EnqueueSpans("/v1/uptime", body(1), spans)
+	s.EnqueueItem(Item{Endpoint: "/v1/uptime", Body: body(1), Spans: spans})
 	if g := telemetry.Default.Gauge("natpeek_spool_journal_bytes", ""); g.Value() <= 0 {
 		t.Fatalf("journal bytes gauge = %v, want > 0", g.Value())
 	}

@@ -25,9 +25,11 @@ import (
 // The Item filled by Next reuses the decoder's scratch storage — see
 // Payload's doc for the aliasing rules.
 type Decoder struct {
-	r    codec.Reader
-	in   codec.Interner
-	left int // items not yet decoded
+	r       codec.Reader
+	in      codec.Interner
+	left    int    // items not yet decoded
+	buf     []byte // the batch being decoded
+	encoded []byte // the last decoded item's payload section
 
 	uptime     [1]dataset.UptimeReport
 	capacity   [1]dataset.CapacityMeasure
@@ -47,6 +49,7 @@ func (d *Decoder) Reset(buf []byte) error {
 	d.r.Reset(buf)
 	d.r.Intern = &d.in
 	d.left = 0
+	d.buf, d.encoded = buf, nil
 	if string(d.r.Raw(len(magic))) != magic {
 		return fmt.Errorf("wire: not an NPB2 batch")
 	}
@@ -73,6 +76,7 @@ func (d *Decoder) Next(it *Item) error {
 	}
 	d.left--
 	*it = Item{}
+	d.encoded = nil
 
 	meta := r.Uvarint()
 	kind := Kind(meta & 0x7)
@@ -89,6 +93,7 @@ func (d *Decoder) Next(it *Item) error {
 	if meta&hasTrace != 0 {
 		d.trace(it)
 	}
+	start := r.Offset()
 	switch kind {
 	case KindUptime:
 		codec.Uptime.Decode(r, d.uptime[:], 1) // decodes in place
@@ -117,8 +122,16 @@ func (d *Decoder) Next(it *Item) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("wire: %w", err)
 	}
+	end := r.Offset()
+	d.encoded = d.buf[start:end:end]
 	return nil
 }
+
+// Encoded returns the payload section of the item the last successful
+// Next decoded — the bytes AppendPayload would write for its Payload —
+// aliasing the decoder's input buffer. Setting it as an Item's Encoded
+// forwards the item without encoding its rows again.
+func (d *Decoder) Encoded() []byte { return d.encoded }
 
 // trace decodes an item's trace into scratch. Attrs are freshly
 // allocated, never scratch: span slices are copied into traces the

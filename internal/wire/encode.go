@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"sync"
 	"time"
 
 	"natpeek/internal/codec"
@@ -29,9 +30,13 @@ var (
 // buffer. Callers on a delivery loop pass last round's buffer back in
 // (sliced to [:0]) to amortize the allocation. Items whose payload kind
 // disagrees with KindFor(Endpoint) must use KindRaw; PayloadFromJSON
-// guarantees that invariant for transcoded items.
+// guarantees that invariant for transcoded items. An item with Encoded
+// set ships those bytes as its payload section instead of encoding
+// Payload.
 func AppendBatch(dst []byte, items []Item) []byte {
-	e := encoder{w: codec.Writer{Buf: append(dst, magic...)}}
+	e := encoders.Get().(*encoder)
+	defer e.release()
+	e.w.Buf = append(dst, magic...)
 	e.w.Uvarint(uint64(len(items)))
 	for i := range items {
 		e.item(&items[i])
@@ -39,15 +44,41 @@ func AppendBatch(dst []byte, items []Item) []byte {
 	return e.w.Buf
 }
 
+// AppendPayload encodes p's payload section — the part of an NPB2 item
+// after its key and trace: the row count and NPS1 block(s) of a typed
+// kind, or the blob of a KindRaw body — onto dst. An Item that carries
+// these bytes in Encoded is shipped without its rows being encoded
+// again, so a producer that holds typed rows encodes them exactly once.
+func AppendPayload(dst []byte, p *Payload) []byte {
+	e := encoders.Get().(*encoder)
+	defer e.release()
+	e.w.Buf = e.buf[:0]
+	e.payload(p)
+	e.buf = e.w.Buf
+	return append(dst, e.buf...)
+}
+
 // encoder holds one-row views of the single-row kinds, so they encode
-// as blocks without a slice allocation per item, and the flattened
-// attrs of the trace being written.
+// as blocks without a slice allocation per item, the flattened attrs of
+// the trace being written, and — pooled — its writer's dictionary
+// scratch and AppendPayload's staging buffer.
 type encoder struct {
 	w        codec.Writer
+	buf      []byte
 	uptime   [1]dataset.UptimeReport
 	capacity [1]dataset.CapacityMeasure
 	count    [1]dataset.DeviceCount
 	attrs    []trace.Attr
+}
+
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// release drops every reference into caller data and pools e.
+func (e *encoder) release() {
+	e.w.Buf = nil
+	e.uptime, e.capacity, e.count = [1]dataset.UptimeReport{}, [1]dataset.CapacityMeasure{}, [1]dataset.DeviceCount{}
+	clear(e.attrs)
+	encoders.Put(e)
 }
 
 func (e *encoder) item(it *Item) {
@@ -64,7 +95,15 @@ func (e *encoder) item(it *Item) {
 	if it.Trace != nil {
 		e.trace(it.Trace)
 	}
-	p := &it.Payload
+	if it.Encoded != nil {
+		w.Raw(it.Encoded)
+		return
+	}
+	e.payload(&it.Payload)
+}
+
+func (e *encoder) payload(p *Payload) {
+	w := &e.w
 	switch p.Kind {
 	case KindUptime:
 		e.uptime[0] = p.Uptime

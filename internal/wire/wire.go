@@ -32,6 +32,15 @@
 // there is no batch-wide state and no instant the typed encoding cannot
 // carry.
 //
+// Pre-encoded payload sections: because an item's payload section
+// depends on nothing outside it, it can be encoded once and moved as
+// bytes. AppendPayload encodes one from typed rows, a Decoder hands out
+// the section of the item it just decoded, and an Item carrying such
+// bytes in Encoded is re-framed by AppendBatch without its rows being
+// encoded again. The collector client encodes each upload's section
+// once, when the gateway hands it the rows, and the cluster front
+// forwards the sections of the items it routes as they arrived.
+//
 // Compatibility: the encoding is negotiated, never assumed. Requests
 // carry Content-Type ContentTypeBinary; the collector advertises
 // support via an "Accept-Post" response header and keeps serving JSON
@@ -121,6 +130,11 @@ type Item struct {
 	Endpoint string
 	Key      string
 	Payload  Payload
+	// Encoded, when non-nil, is the item's payload section already
+	// encoded (AppendPayload, or a Decoder's Encoded): AppendBatch copies
+	// it instead of encoding Payload, whose Kind must still name its kind
+	// and whose rows are then ignored.
+	Encoded []byte
 	// Trace carries the client-side spans. The trace ID itself is not
 	// shipped — the collector derives it from the idempotency key and
 	// never trusts the wire — so decoded Wires have an empty TraceID.
